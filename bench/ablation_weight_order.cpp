@@ -98,20 +98,9 @@ std::unique_ptr<Program> makeFanInTradeoff() {
 
 /// The Figure 3 greedy loop with an explicit consideration order.
 double greedyWithOrder(const ASDG &G,
-                       std::vector<const ArraySymbol *> Order) {
+                       const std::vector<const ArraySymbol *> &Order) {
   FusionPartition FP = FusionPartition::trivial(G);
-  for (const ArraySymbol *Var : Order) {
-    std::set<unsigned> C = FP.clustersReferencing(Var);
-    if (C.empty())
-      continue;
-    std::set<unsigned> Grown = FP.grow(C);
-    C.insert(Grown.begin(), Grown.end());
-    if (C.size() < 2)
-      continue;
-    if (!isContractible(FP, C, Var) || !isLegalFusion(FP, C))
-      continue;
-    FP.merge(C);
-  }
+  fuseGreedily(FP, Order, contractibleUnder());
   return contractionBenefit(FP, contractibleArrays(FP, anyArray()));
 }
 

@@ -22,6 +22,7 @@ class Parser {
   std::map<std::string, const Region *> Regions;
   std::map<std::string, unsigned> RegionRanks;
   std::map<std::string, Offset> Directions;
+  unsigned Nesting = 0; ///< parseFactor calls on the stack
 
 public:
   Parser(const std::string &Source, const std::string &Name,
@@ -336,6 +337,18 @@ private:
   }
 
   ExprPtr parseFactor() {
+    if (Nesting == MaxExprNesting) {
+      error(formatString("expression nested deeper than %u levels",
+                         MaxExprNesting));
+      return nullptr;
+    }
+    ++Nesting;
+    ExprPtr E = parseFactorAtDepth();
+    --Nesting;
+    return E;
+  }
+
+  ExprPtr parseFactorAtDepth() {
     if (at(TokenKind::Number))
       return cst(advance().NumValue);
     if (at(TokenKind::Minus)) {

@@ -62,6 +62,11 @@ struct ParseResult {
   bool succeeded() const { return Prog != nullptr; }
 };
 
+/// Deepest expression nesting (parentheses, unary minus, builtin calls)
+/// parseProgram() accepts. Deeper source is a "line:col:" diagnostic
+/// rather than a stack overflow.
+inline constexpr unsigned MaxExprNesting = 256;
+
 /// Parses \p Source into a Program named \p Name.
 ParseResult parseProgram(const std::string &Source,
                          const std::string &Name = "main");

@@ -202,6 +202,7 @@ namespace {
 struct Parser {
   const std::string &Text;
   size_t Pos = 0;
+  unsigned Depth = 0; ///< arrays and objects currently open
   std::string Error;
 
   explicit Parser(const std::string &Text) : Text(Text) {}
@@ -231,10 +232,16 @@ struct Parser {
     if (Pos >= Text.size())
       return fail("unexpected end of input");
     char C = Text[Pos];
-    if (C == '{')
-      return parseObject(Out);
-    if (C == '[')
-      return parseArray(Out);
+    if (C == '{' || C == '[') {
+      // The parser (and Value's destructor) recurse once per level.
+      if (Depth == MaxNestingDepth)
+        return fail(formatString("nesting deeper than %u levels",
+                                 MaxNestingDepth));
+      ++Depth;
+      bool Ok = C == '{' ? parseObject(Out) : parseArray(Out);
+      --Depth;
+      return Ok;
+    }
     if (C == '"') {
       std::string S;
       if (!parseString(S))

@@ -86,9 +86,13 @@ private:
   void writeIndented(std::ostream &OS, unsigned Indent) const;
 };
 
+/// Deepest array/object nesting parse() accepts. Deeper input is
+/// malformed rather than a stack overflow.
+inline constexpr unsigned MaxNestingDepth = 512;
+
 /// Parses \p Text; nullopt with \p Error set ("offset N: message") on
-/// malformed input. Trailing whitespace is allowed, trailing garbage is
-/// an error.
+/// malformed input, including nesting deeper than MaxNestingDepth.
+/// Trailing whitespace is allowed, trailing garbage is an error.
 std::optional<Value> parse(const std::string &Text,
                            std::string *Error = nullptr);
 

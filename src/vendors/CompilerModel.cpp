@@ -77,8 +77,8 @@ std::vector<unsigned> computeSourceGroups(const Program &P) {
   return GroupOf;
 }
 
-/// Vendor-specific fusion driver mirroring FUSION-FOR-CONTRACTION with
-/// the policy's restrictions layered on the legality test.
+/// Vendor-specific fusion: the shared Figure 3 loop with the policy's
+/// restrictions as its acceptance test.
 class VendorEngine {
   const VendorPolicy &Policy;
   const ASDG &G;
@@ -102,19 +102,23 @@ public:
     return true;
   }
 
-  bool legalForPolicy(const std::set<unsigned> &C) const {
-    if (!isLegalFusion(FP, C))
+  /// The policy's own Figure 3 line 7 test; FUSION-PARTITION? itself
+  /// is the shared driver's.
+  bool acceptsForPolicy(const FusionPartition &P, const std::set<unsigned> &C,
+                        const ArraySymbol *Var,
+                        bool RequireContractible) const {
+    if (!Policy.StatementFusion && !singleSourceGroup(C))
+      return false;
+    if (RequireContractible && !isContractible(P, C, Var))
       return false;
     if (Policy.FuseAcrossAntiDeps || singleSourceGroup(C))
       return true;
     // The vendor cannot emit a fused nest with a loop-carried
     // anti-dependence across source statements.
-    std::set<unsigned> Stmts;
-    for (unsigned Cl : C)
-      for (unsigned StmtId : FP.members(Cl))
-        Stmts.insert(StmtId);
+    std::vector<unsigned> Stmts = P.memberStmts(C);
+    std::set<unsigned> InCluster(Stmts.begin(), Stmts.end());
     for (const DepEdge &E : G.edges()) {
-      if (!Stmts.count(E.Src) || !Stmts.count(E.Tgt))
+      if (!InCluster.count(E.Src) || !InCluster.count(E.Tgt))
         continue;
       for (const DepLabel &L : E.Labels)
         if (L.Type == DepType::Anti && (!L.UDV || !L.UDV->isZero()))
@@ -124,24 +128,12 @@ public:
   }
 
   void greedy(const ArrayFilter &Candidates, bool RequireContractible) {
-    for (const ArraySymbol *Var : G.arraysByDecreasingWeight()) {
-      if (!Candidates(Var))
-        continue;
-      std::set<unsigned> C = FP.clustersReferencing(Var);
-      if (C.empty())
-        continue;
-      std::set<unsigned> Grown = FP.grow(C);
-      C.insert(Grown.begin(), Grown.end());
-      if (C.size() < 2)
-        continue;
-      if (!Policy.StatementFusion && !singleSourceGroup(C))
-        continue;
-      if (RequireContractible && !isContractible(FP, C, Var))
-        continue;
-      if (!legalForPolicy(C))
-        continue;
-      FP.merge(C);
-    }
+    fuseGreedily(FP, weightOrder(G, Candidates),
+                 [this, RequireContractible](const FusionPartition &P,
+                                             const std::set<unsigned> &C,
+                                             const ArraySymbol *Var) {
+                   return acceptsForPolicy(P, C, Var, RequireContractible);
+                 });
   }
 };
 

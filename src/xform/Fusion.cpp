@@ -4,6 +4,8 @@
 
 #include "support/Statistic.h"
 
+#include <cassert>
+
 using namespace alf;
 using namespace alf::analysis;
 using namespace alf::ir;
@@ -17,28 +19,37 @@ ArrayFilter xform::compilerTempsOnly() {
   return [](const ArraySymbol *A) { return A->isCompilerTemp(); };
 }
 
-/// Shared driver for the Figure 3 greedy loop. When \p RequireContractible
-/// is true this is FUSION-FOR-CONTRACTION; when false it is fusion for
-/// locality (the CONTRACTIBLE? test of line 7 eliminated).
 ALF_STATISTIC(NumCandidatesConsidered, "fusion",
               "Arrays considered by the greedy fusion loop");
 ALF_STATISTIC(NumMergesPerformed, "fusion", "Cluster merges performed");
 ALF_STATISTIC(NumRejectedContractible, "fusion",
-              "Merges rejected by CONTRACTIBLE?");
+              "Merges rejected by CONTRACTIBLE? or the pass's own test");
 ALF_STATISTIC(NumRejectedLegality, "fusion",
               "Merges rejected by FUSION-PARTITION?");
 
-static unsigned runGreedyFusion(FusionPartition &P,
-                                const ArrayFilter &Candidates,
-                                bool RequireContractible) {
-  const ASDG &G = P.graph();
+std::vector<const ArraySymbol *> xform::weightOrder(const ASDG &G,
+                                                    const ArrayFilter &Filter) {
+  std::vector<const ArraySymbol *> Order;
+  for (const ArraySymbol *Var : G.arraysByDecreasingWeight())
+    if (Filter(Var))
+      Order.push_back(Var);
+  return Order;
+}
+
+MergeAccept xform::contractibleUnder(SequentialDims Seq) {
+  return [Seq = std::move(Seq)](const FusionPartition &P,
+                                const std::set<unsigned> &C,
+                                const ArraySymbol *Var) {
+    return isContractible(P, C, Var, Seq);
+  };
+}
+
+unsigned xform::fuseGreedily(FusionPartition &P,
+                             const std::vector<const ArraySymbol *> &Order,
+                             const MergeAccept &Accept,
+                             const SequentialDims &Seq) {
   unsigned Merges = 0;
-
-  // Line 3: array variables sorted by decreasing weight w(x, G).
-  for (const ArraySymbol *Var : G.arraysByDecreasingWeight()) {
-    if (!Candidates(Var))
-      continue;
-
+  for (const ArraySymbol *Var : Order) {
     // Line 5: clusters containing a reference to Var.
     std::set<unsigned> C = P.clustersReferencing(Var);
     if (C.empty())
@@ -51,12 +62,15 @@ static unsigned runGreedyFusion(FusionPartition &P,
       continue; // nothing to fuse
     ++NumCandidatesConsidered;
 
-    // Line 7: CONTRACTIBLE?(x, c, G) and FUSION-PARTITION?(c, G).
-    if (RequireContractible && !isContractible(P, C, Var)) {
+    // Line 7: the pass's own test, then FUSION-PARTITION?(c, G). C is
+    // GROW-closed and P acyclic, so condition (iii) holds by construction
+    // and only the statement-set conditions remain to check.
+    if (!Accept(P, C, Var)) {
       ++NumRejectedContractible;
       continue;
     }
-    if (!isLegalFusion(P, C)) {
+    assert(P.grow(C).empty() && "GROW closure must leave no cycle");
+    if (!isFusibleStmtSet(P.graph(), P.memberStmts(C), Seq)) {
       ++NumRejectedLegality;
       continue;
     }
@@ -71,11 +85,14 @@ static unsigned runGreedyFusion(FusionPartition &P,
 
 unsigned xform::fuseForContraction(FusionPartition &P,
                                    const ArrayFilter &Candidates) {
-  return runGreedyFusion(P, Candidates, /*RequireContractible=*/true);
+  return fuseGreedily(P, weightOrder(P.graph(), Candidates),
+                      contractibleUnder());
 }
 
 unsigned xform::fuseForLocality(FusionPartition &P) {
-  return runGreedyFusion(P, anyArray(), /*RequireContractible=*/false);
+  return fuseGreedily(P, P.graph().arraysByDecreasingWeight(),
+                      [](const FusionPartition &, const std::set<unsigned> &,
+                         const ArraySymbol *) { return true; });
 }
 
 unsigned xform::fuseAllPairwise(FusionPartition &P) {
@@ -86,12 +103,7 @@ unsigned xform::fuseAllPairwise(FusionPartition &P) {
   auto RegionOf = [&Prog, &P](unsigned Cluster) -> const ir::Region * {
     const ir::Region *Common = nullptr;
     for (unsigned StmtId : P.members(Cluster)) {
-      const ir::Stmt *S = Prog.getStmt(StmtId);
-      const ir::Region *R = nullptr;
-      if (const auto *NS = dyn_cast<ir::NormalizedStmt>(S))
-        R = NS->getRegion();
-      else if (const auto *RS = dyn_cast<ir::ReduceStmt>(S))
-        R = RS->getRegion();
+      const ir::Region *R = fusableRegion(Prog.getStmt(StmtId));
       if (!R)
         return nullptr;
       if (!Common)

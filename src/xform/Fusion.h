@@ -7,10 +7,13 @@
 /// \file
 /// The paper's statement fusion algorithms (section 4.1):
 ///
-///  * FUSION-FOR-CONTRACTION (Figure 3): greedy collective fusion driven
-///    by arrays in decreasing reference-weight order; merges every cluster
-///    referencing the array (plus the GROW closure) when the array is
-///    contractible and the merge forms a legal fusion partition.
+///  * The Figure 3 greedy loop (fuseGreedily): for each array of a given
+///    consideration order, merges every cluster referencing the array
+///    (plus the GROW closure) when a pass-specific test accepts and the
+///    merge forms a legal fusion partition. Every greedy pass below, the
+///    partial contraction pass and the vendor models run this one loop.
+///  * FUSION-FOR-CONTRACTION (Figure 3): the loop over arrays in
+///    decreasing reference-weight order, accepting contractible arrays.
 ///  * Fusion for locality: "identical to that in Figure 3, except that the
 ///    CONTRACTIBLE? predicate in line 7 is eliminated".
 ///  * Greedy pairwise fusion ("all legal fusion", the paper's f4): keeps
@@ -38,6 +41,34 @@ ArrayFilter anyArray();
 
 /// Filter admitting only compiler temporaries.
 ArrayFilter compilerTempsOnly();
+
+/// Figure 3 line 3's consideration order (decreasing reference weight)
+/// restricted to the arrays \p Filter accepts.
+std::vector<const ir::ArraySymbol *> weightOrder(const analysis::ASDG &G,
+                                                 const ArrayFilter &Filter);
+
+/// A pass-specific test of Figure 3 line 7 on the candidate merge of the
+/// clusters \p C of \p P, made for array \p Var: CONTRACTIBLE? for fusion
+/// for contraction, nothing for fusion for locality, a policy for the
+/// vendor models.
+using MergeAccept =
+    std::function<bool(const FusionPartition &P, const std::set<unsigned> &C,
+                       const ir::ArraySymbol *Var)>;
+
+/// CONTRACTIBLE?(Var, C) as a MergeAccept, with distances judged under
+/// \p Seq.
+MergeAccept contractibleUnder(SequentialDims Seq = SequentialDims::none());
+
+/// The Figure 3 greedy loop (lines 4-10) over the arrays of \p Order, in
+/// that order, refining \p P. For each array, the clusters referencing it
+/// (line 5) are closed under GROW (line 6); when that yields at least two
+/// clusters, \p Accept holds and the merge passes FUSION-PARTITION? with
+/// flow distances judged under \p Seq (line 7), they merge into the
+/// smallest cluster id (lines 8-9). Returns the number of merges.
+unsigned fuseGreedily(FusionPartition &P,
+                      const std::vector<const ir::ArraySymbol *> &Order,
+                      const MergeAccept &Accept,
+                      const SequentialDims &Seq = SequentialDims::none());
 
 /// FUSION-FOR-CONTRACTION (Figure 3), starting from (and refining) \p P.
 /// Only arrays accepted by \p Candidates are considered (line 4's loop).

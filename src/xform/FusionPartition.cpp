@@ -5,8 +5,7 @@
 #include "support/StringUtil.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
+#include <cassert>
 
 using namespace alf;
 using namespace alf::analysis;
@@ -57,6 +56,15 @@ std::vector<unsigned> FusionPartition::members(unsigned Cluster) const {
   return Result;
 }
 
+std::vector<unsigned>
+FusionPartition::memberStmts(const std::set<unsigned> &C) const {
+  std::vector<unsigned> Result;
+  for (unsigned I = 0; I < ClusterOf.size(); ++I)
+    if (C.count(ClusterOf[I]))
+      Result.push_back(I);
+  return Result;
+}
+
 unsigned FusionPartition::merge(const std::set<unsigned> &C) {
   assert(!C.empty() && "cannot merge an empty cluster set");
   unsigned Target = *C.begin(); // smallest id (set is ordered)
@@ -90,35 +98,38 @@ std::set<unsigned> FusionPartition::grow(const std::set<unsigned> &C) const {
   // Forward-reachable from C and backward-reachable to C on the quotient
   // graph; the intersection (minus C) is GROW. One application is closed:
   // any cluster reachable from C + GROW and reaching C + GROW is already
-  // forward- and backward-reachable from/to C itself.
-  auto Edges = clusterEdges();
-  std::map<unsigned, std::vector<unsigned>> Succ, Pred;
-  for (auto [S, T] : Edges) {
-    Succ[S].push_back(T);
-    Pred[T].push_back(S);
+  // forward- and backward-reachable from/to C itself. Cluster ids are
+  // statement ids, so numStmts() bounds them.
+  std::vector<std::vector<unsigned>> Succ(numStmts()), Pred(numStmts());
+  for (const DepEdge &E : G->edges()) {
+    unsigned SC = ClusterOf[E.Src], TC = ClusterOf[E.Tgt];
+    if (SC != TC) {
+      Succ[SC].push_back(TC);
+      Pred[TC].push_back(SC);
+    }
   }
 
-  auto Reach = [&C](const std::map<unsigned, std::vector<unsigned>> &Adj) {
-    std::set<unsigned> Seen(C.begin(), C.end());
-    std::deque<unsigned> Work(C.begin(), C.end());
+  auto Reach = [this, &C](const std::vector<std::vector<unsigned>> &Adj) {
+    std::vector<bool> Seen(numStmts(), false);
+    std::vector<unsigned> Work(C.begin(), C.end());
+    for (unsigned Cl : C)
+      Seen[Cl] = true;
     while (!Work.empty()) {
-      unsigned Node = Work.front();
-      Work.pop_front();
-      auto It = Adj.find(Node);
-      if (It == Adj.end())
-        continue;
-      for (unsigned Next : It->second)
-        if (Seen.insert(Next).second)
+      unsigned Node = Work.back();
+      Work.pop_back();
+      for (unsigned Next : Adj[Node])
+        if (!Seen[Next]) {
+          Seen[Next] = true;
           Work.push_back(Next);
+        }
     }
     return Seen;
   };
 
-  std::set<unsigned> Fwd = Reach(Succ);
-  std::set<unsigned> Bwd = Reach(Pred);
+  std::vector<bool> Fwd = Reach(Succ), Bwd = Reach(Pred);
   std::set<unsigned> Result;
-  for (unsigned Cl : Fwd)
-    if (Bwd.count(Cl) && !C.count(Cl))
+  for (unsigned Cl = 0; Cl < numStmts(); ++Cl)
+    if (Fwd[Cl] && Bwd[Cl] && !C.count(Cl))
       Result.insert(Cl);
   return Result;
 }
@@ -157,56 +168,7 @@ void FusionPartition::print(std::ostream &OS) const {
 // Legality predicates
 //===----------------------------------------------------------------------===//
 
-/// Returns true if the quotient graph of \p P, with the clusters of \p C
-/// regarded as one node, contains a cycle.
-static bool mergeWouldCreateCycle(const FusionPartition &P,
-                                  const std::set<unsigned> &C) {
-  unsigned Rep = *C.begin();
-  auto Quot = [&](unsigned Cl) { return C.count(Cl) ? Rep : Cl; };
-
-  std::map<unsigned, std::set<unsigned>> Succ;
-  std::set<unsigned> Nodes;
-  for (auto [S, T] : P.clusterEdges()) {
-    unsigned QS = Quot(S), QT = Quot(T);
-    Nodes.insert(QS);
-    Nodes.insert(QT);
-    if (QS != QT)
-      Succ[QS].insert(QT);
-  }
-
-  // Iterative three-color DFS.
-  std::map<unsigned, int> Color; // 0 white, 1 gray, 2 black
-  for (unsigned Start : Nodes) {
-    if (Color[Start] != 0)
-      continue;
-    std::vector<std::pair<unsigned, bool>> Stack{{Start, false}};
-    while (!Stack.empty()) {
-      auto [Node, Done] = Stack.back();
-      Stack.pop_back();
-      if (Done) {
-        Color[Node] = 2;
-        continue;
-      }
-      if (Color[Node] == 2)
-        continue;
-      if (Color[Node] == 1)
-        continue;
-      Color[Node] = 1;
-      Stack.push_back({Node, true});
-      for (unsigned Next : Succ[Node]) {
-        if (Color[Next] == 1)
-          return true; // back edge
-        if (Color[Next] == 0)
-          Stack.push_back({Next, false});
-      }
-    }
-  }
-  return false;
-}
-
-/// The region a statement iterates over if it may join a multi-statement
-/// fusible cluster (normalized statements and reductions), else null.
-static const Region *fusableRegion(const Stmt *S) {
+const Region *xform::fusableRegion(const Stmt *S) {
   if (const auto *NS = dyn_cast<NormalizedStmt>(S))
     return NS->getRegion();
   if (const auto *RS = dyn_cast<ReduceStmt>(S))
@@ -214,25 +176,13 @@ static const Region *fusableRegion(const Stmt *S) {
   return nullptr;
 }
 
-bool xform::isLegalFusion(const FusionPartition &P, const std::set<unsigned> &C,
-                          LoopStructureVector *OutLSV) {
-  return isLegalFusionWithFlowRule(
-      P, C, [](const Offset &U) { return U.isZero(); }, OutLSV);
-}
-
-bool xform::isLegalFusionWithFlowRule(
-    const FusionPartition &P, const std::set<unsigned> &C,
-    const std::function<bool(const Offset &)> &FlowOk,
-    LoopStructureVector *OutLSV) {
-  assert(!C.empty() && "legality query over an empty cluster set");
-  const ASDG &G = P.graph();
+bool xform::isFusibleStmtSet(const ASDG &G, const std::vector<unsigned> &Stmts,
+                             const SequentialDims &Seq,
+                             LoopStructureVector *OutLSV) {
+  assert(!Stmts.empty() && "legality query over an empty statement set");
+  assert(std::is_sorted(Stmts.begin(), Stmts.end()) &&
+         "statement set must be in program order");
   const Program &Prog = G.getProgram();
-
-  // Gather the statements of the hypothetical merged cluster.
-  std::vector<unsigned> Stmts;
-  for (unsigned Cl : C)
-    for (unsigned StmtId : P.members(Cl))
-      Stmts.push_back(StmtId);
 
   // Condition (i): all statements operate under the same region. Clusters
   // of more than one statement must consist of normalized statements and
@@ -251,17 +201,6 @@ bool xform::isLegalFusionWithFlowRule(
     }
   }
 
-  // Condition (ii): intra-cluster flow dependences must satisfy the flow
-  // rule (null UDVs in the standard Definition 5).
-  std::set<unsigned> InCluster(Stmts.begin(), Stmts.end());
-  for (const DepEdge &E : G.edges()) {
-    if (!InCluster.count(E.Src) || !InCluster.count(E.Tgt))
-      continue;
-    for (const DepLabel &L : E.Labels)
-      if (L.Type == DepType::Flow && (!L.UDV || !FlowOk(*L.UDV)))
-        return false;
-  }
-
   // Communication placement: a fusible cluster may not span a
   // communication statement in program order. Scalarization preserves the
   // placement of exchanges (their pipelining overlap windows were chosen
@@ -269,39 +208,38 @@ bool xform::isLegalFusionWithFlowRule(
   // sides of an exchange would move computation out of its overlap
   // window — the interaction the paper's section 5.5 policy forbids.
   // Programs without communication statements are unaffected.
-  if (Stmts.size() > 1) {
-    unsigned Min = Stmts.front(), Max = Stmts.front();
-    for (unsigned StmtId : Stmts) {
-      Min = std::min(Min, StmtId);
-      Max = std::max(Max, StmtId);
-    }
-    for (unsigned Pos = Min + 1; Pos < Max; ++Pos)
-      if (isa<CommStmt>(Prog.getStmt(Pos)))
-        return false;
-  }
+  for (unsigned Pos = Stmts.front() + 1; Pos < Stmts.back(); ++Pos)
+    if (isa<CommStmt>(Prog.getStmt(Pos)))
+      return false;
 
-  // Condition (iii): no inter-cluster cycles after the merge.
-  if (mergeWouldCreateCycle(P, C))
-    return false;
+  // Condition (ii): intra-cluster flow dependences must be admitted by
+  // Seq (null UDVs in the standard Definition 5). The same pass gathers
+  // the internal UDVs condition (iv) needs; an unrepresentable internal
+  // dependence fails both.
+  std::vector<bool> InSet(G.numNodes(), false);
+  for (unsigned StmtId : Stmts)
+    InSet[StmtId] = true;
+  std::vector<Offset> UDVs;
+  for (const DepEdge &E : G.edges()) {
+    if (!InSet[E.Src] || !InSet[E.Tgt])
+      continue;
+    for (const DepLabel &L : E.Labels) {
+      if (!L.UDV || (L.Type == DepType::Flow && !Seq.admits(*L.UDV)))
+        return false;
+      UDVs.push_back(*L.UDV);
+    }
+  }
 
   // Condition (iv): a loop structure vector exists that preserves all
   // intra-cluster dependences.
-  auto UDVs = P.internalUDVs(C);
-  if (!UDVs)
-    return false;
-  unsigned Rank = 0;
-  for (unsigned StmtId : Stmts)
-    if (const Region *R = fusableRegion(Prog.getStmt(StmtId))) {
-      Rank = R->rank();
-      break;
-    }
-  if (Rank == 0) {
+  const Region *R = fusableRegion(Prog.getStmt(Stmts.front()));
+  if (!R) {
     // Single non-normalized statement: vacuously legal, no loop nest.
     if (OutLSV)
       *OutLSV = LoopStructureVector();
     return true;
   }
-  auto LSV = findLoopStructure(*UDVs, Rank);
+  auto LSV = findLoopStructure(UDVs, R->rank());
   if (!LSV)
     return false;
   if (OutLSV)
@@ -309,17 +247,27 @@ bool xform::isLegalFusionWithFlowRule(
   return true;
 }
 
-bool xform::isContractible(const FusionPartition &P,
-                           const std::set<unsigned> &C,
-                           const ir::ArraySymbol *Var) {
-  return isContractibleWithRule(P, C, Var,
-                                [](const Offset &U) { return U.isZero(); });
+bool xform::isLegalFusion(const FusionPartition &P, const std::set<unsigned> &C,
+                          const SequentialDims &Seq,
+                          LoopStructureVector *OutLSV) {
+  assert(!C.empty() && "legality query over an empty cluster set");
+  LoopStructureVector LSV;
+  if (!isFusibleStmtSet(P.graph(), P.memberStmts(C), Seq, &LSV))
+    return false;
+  // Condition (iii): no inter-cluster cycle after the merge. P is acyclic,
+  // so a cycle would have to pass through the merged node and leave it at
+  // a cluster outside C that C reaches and that reaches C: a GROW member.
+  if (!P.grow(C).empty())
+    return false;
+  if (OutLSV)
+    *OutLSV = std::move(LSV);
+  return true;
 }
 
-bool xform::isContractibleWithRule(
-    const FusionPartition &P, const std::set<unsigned> &C,
-    const ir::ArraySymbol *Var,
-    const std::function<bool(const Offset &)> &DistOk) {
+bool xform::isContractible(const FusionPartition &P,
+                           const std::set<unsigned> &C,
+                           const ir::ArraySymbol *Var,
+                           const SequentialDims &Seq) {
   const ASDG &G = P.graph();
   const Program &Prog = G.getProgram();
 
@@ -356,7 +304,8 @@ bool xform::isContractibleWithRule(
     return false; // read-only array; nothing to contract
 
   // Definition 6 (i): the endpoints of every dependence due to Var lie in
-  // one fusible cluster (the merged one), and (ii) every such UDV is null.
+  // one fusible cluster (the merged one), and (ii) every such UDV is
+  // admitted by Seq.
   for (const DepEdge &E : G.edges()) {
     for (const DepLabel &L : E.Labels) {
       if (L.Var != Var)
@@ -365,7 +314,7 @@ bool xform::isContractibleWithRule(
       bool SameCluster = (SC == TC) || (C.count(SC) && C.count(TC));
       if (!SameCluster)
         return false;
-      if (!L.UDV || !DistOk(*L.UDV))
+      if (!L.UDV || !Seq.admits(*L.UDV))
         return false;
     }
   }
@@ -383,10 +332,5 @@ bool xform::isValidPartition(const FusionPartition &P) {
   for (unsigned Cl : P.clusters())
     if (!isLegalFusion(P, std::set<unsigned>{Cl}))
       return false;
-  // Whole-partition acyclicity: checked via a merge of a singleton (which
-  // leaves the quotient graph unchanged).
-  auto Clusters = P.clusters();
-  if (Clusters.empty())
-    return true;
-  return !mergeWouldCreateCycle(P, std::set<unsigned>{Clusters.front()});
+  return true;
 }

@@ -20,8 +20,8 @@
 #include "analysis/ASDG.h"
 #include "xform/LoopStructure.h"
 
+#include <initializer_list>
 #include <optional>
-#include <functional>
 #include <ostream>
 #include <set>
 #include <vector>
@@ -67,6 +67,9 @@ public:
   /// Statement ids in cluster \p Cluster, ascending (program order).
   std::vector<unsigned> members(unsigned Cluster) const;
 
+  /// Statement ids in any cluster of \p C, ascending.
+  std::vector<unsigned> memberStmts(const std::set<unsigned> &C) const;
+
   /// Merges all clusters in \p C into the one with the smallest id.
   /// Returns the surviving cluster id.
   unsigned merge(const std::set<unsigned> &C);
@@ -94,48 +97,95 @@ public:
   void print(std::ostream &OS) const;
 };
 
+/// Which array dimensions are sequential (not distributed across the
+/// processor grid). Definitions 5 (ii) and 6 (ii) ask for null distances;
+/// the paper notes the condition "may be relaxed when the dependence is
+/// along a dimension of the array that is not distributed", which is what
+/// the partial contraction extension does. The paper's default, every
+/// dimension distributed, is `SequentialDims::none()`.
+class SequentialDims {
+  std::vector<bool> Seq;
+
+public:
+  /// All dimensions distributed (partial contraction disabled).
+  static SequentialDims none() { return SequentialDims(); }
+
+  /// Marks the given zero-based dimensions sequential.
+  static SequentialDims dims(std::initializer_list<unsigned> Dims) {
+    SequentialDims S;
+    for (unsigned D : Dims) {
+      if (D >= S.Seq.size())
+        S.Seq.resize(D + 1, false);
+      S.Seq[D] = true;
+    }
+    return S;
+  }
+
+  bool isSequential(unsigned D) const {
+    return D < Seq.size() && Seq[D];
+  }
+
+  /// True when \p U is zero along every distributed dimension: the
+  /// distance conditions (ii) of Definitions 5 and 6 accept. Under
+  /// none() this is exactly `U.isZero()`.
+  bool admits(const ir::Offset &U) const {
+    for (unsigned D = 0; D < U.rank(); ++D)
+      if (U[D] != 0 && !isSequential(D))
+        return false;
+    return true;
+  }
+};
+
+/// The region a statement iterates over if it may join a multi-statement
+/// fusible cluster (normalized statements and reductions), else null.
+const ir::Region *fusableRegion(const ir::Stmt *S);
+
+/// The conditions of Definition 5 that depend only on the statement set
+/// \p Stmts (ascending ids) of one would-be cluster: (i) a common region
+/// of normalized statements and reductions, (ii) every internal flow
+/// dependence admitted by \p Seq, (iv) a loop structure vector preserving
+/// every internal dependence, plus the communication-span rule (no
+/// communication statement lies between two members in program order).
+/// All four are monotone: a superset of a failing set fails too. When
+/// \p OutLSV is non-null and the set passes, stores the loop structure
+/// vector found.
+bool isFusibleStmtSet(const analysis::ASDG &G,
+                      const std::vector<unsigned> &Stmts,
+                      const SequentialDims &Seq = SequentialDims::none(),
+                      LoopStructureVector *OutLSV = nullptr);
+
 /// FUSION-PARTITION? (Definition 5): would merging the clusters of \p C in
-/// \p P produce a legal fusion partition? Checks (i) a common region of
-/// normalized statements, (ii) null intra-cluster flow dependences, (iii)
-/// acyclicity of the quotient graph after the merge, and (iv) existence of
-/// a loop structure vector. When \p OutLSV is non-null and the merge is
-/// legal, stores the loop structure vector found for the merged cluster.
+/// the acyclic partition \p P produce a legal fusion partition? The
+/// statement-set conditions are isFusibleStmtSet's; condition (iii),
+/// acyclicity of the quotient graph after the merge, is `P.grow(C)` being
+/// empty (exact because P itself is acyclic: a cycle through the merged
+/// node leaves it at some cluster outside C that is reachable from C and
+/// reaches C, which is a GROW member, and conversely). When \p OutLSV is
+/// non-null and the merge is legal, stores the loop structure vector
+/// found for the merged cluster.
 bool isLegalFusion(const FusionPartition &P, const std::set<unsigned> &C,
+                   const SequentialDims &Seq = SequentialDims::none(),
                    LoopStructureVector *OutLSV = nullptr);
-
-/// Definition 5 with condition (ii) generalized: an intra-cluster flow
-/// dependence is acceptable when \p FlowOk accepts its unconstrained
-/// distance vector. `isLegalFusion` uses `u.isZero()`; the partial
-/// contraction extension relaxes the rule along sequential dimensions.
-bool isLegalFusionWithFlowRule(
-    const FusionPartition &P, const std::set<unsigned> &C,
-    const std::function<bool(const ir::Offset &)> &FlowOk,
-    LoopStructureVector *OutLSV = nullptr);
-
-/// Definition 6 with the distance condition generalized: \p Var is
-/// contractible (to a scalar or buffer) when every dependence due to it
-/// has endpoints in the merged cluster and a distance accepted by
-/// \p DistOk, plus the liveness side conditions.
-bool isContractibleWithRule(
-    const FusionPartition &P, const std::set<unsigned> &C,
-    const ir::ArraySymbol *Var,
-    const std::function<bool(const ir::Offset &)> &DistOk);
 
 /// CONTRACTIBLE? (Definition 6) plus the liveness side conditions: \p Var
 /// is contractible under partition \p P with the clusters of \p C merged
 /// iff (a) it is an array that is written, not live-out, has no
-/// upward-exposed read, and is referenced only by normalized statements,
-/// (b) the source and target of every dependence due to Var fall in the
-/// merged cluster, and (c) every such dependence's UDV is the null vector.
+/// upward-exposed read, and is referenced only by normalized statements
+/// and reductions, (b) the source and target of every dependence due to
+/// Var fall in one cluster, and (c) every such dependence's UDV is
+/// admitted by \p Seq (null under none(); zero along the distributed
+/// dimensions for a rolling buffer).
 bool isContractible(const FusionPartition &P, const std::set<unsigned> &C,
-                    const ir::ArraySymbol *Var);
+                    const ir::ArraySymbol *Var,
+                    const SequentialDims &Seq = SequentialDims::none());
 
 /// Convenience: contractibility in the partition as-is (each cluster by
 /// itself, no hypothetical merge).
 bool isContractible(const FusionPartition &P, const ir::ArraySymbol *Var);
 
 /// Structural sanity check used by tests: every cluster of \p P satisfies
-/// Definition 5 on its own and the quotient graph is acyclic.
+/// Definition 5 on its own. This includes acyclicity of the quotient
+/// graph: a single cluster has a non-empty GROW iff it lies on a cycle.
 bool isValidPartition(const FusionPartition &P);
 
 } // namespace xform

@@ -67,17 +67,6 @@ double xform::contractedBytes(const FusionPartition &P,
   return contractionBenefit(P, Vars) * ElemBytes;
 }
 
-/// The region a statement iterates over, when it has one (normalized
-/// statements and reductions; communication and opaque statements do
-/// not).
-static const Region *stmtRegion(const Stmt *S) {
-  if (const auto *NS = dyn_cast<NormalizedStmt>(S))
-    return NS->getRegion();
-  if (const auto *RS = dyn_cast<ReduceStmt>(S))
-    return RS->getRegion();
-  return nullptr;
-}
-
 double xform::cacheModelCost(const FusionPartition &P, const StrategyResult &SR,
                              const machine::MachineDesc &M) {
   const ASDG &G = P.graph();
@@ -95,7 +84,7 @@ double xform::cacheModelCost(const FusionPartition &P, const StrategyResult &SR,
       continue; // contracted arrays live in registers / a rolling buffer
     std::map<unsigned, double> MaxPerCluster;
     for (unsigned StmtId : G.statementsReferencing(A)) {
-      const Region *R = stmtRegion(Prog.getStmt(StmtId));
+      const Region *R = fusableRegion(Prog.getStmt(StmtId));
       if (!R)
         continue;
       double Bytes = static_cast<double>(R->size()) * ElemBytes;
@@ -136,38 +125,6 @@ struct Candidate {
   double Bytes = 0;
   std::vector<unsigned> Referencing;
 };
-
-/// Can statements \p SA and \p SB ever share a fusible cluster, in any
-/// partition? Checks only the monotone-permanent parts of Definition 5
-/// between the pair: common region, the communication-span rule, null
-/// flow UDVs and representable dependences with a loop structure over
-/// the pair's own UDVs. Deliberately not the cycle check (a path around
-/// a pair can be absorbed into a larger cluster).
-bool pairCanEverCoCluster(const ASDG &G, unsigned SA, unsigned SB) {
-  const Program &Prog = G.getProgram();
-  const Region *RA = stmtRegion(Prog.getStmt(SA));
-  const Region *RB = stmtRegion(Prog.getStmt(SB));
-  if (!RA || !RB || *RA != *RB)
-    return false;
-  unsigned Lo = std::min(SA, SB), Hi = std::max(SA, SB);
-  for (unsigned Pos = Lo + 1; Pos < Hi; ++Pos)
-    if (isa<CommStmt>(Prog.getStmt(Pos)))
-      return false;
-  std::vector<Offset> UDVs;
-  for (const DepEdge &E : G.edges()) {
-    bool Between = (E.Src == Lo && E.Tgt == Hi);
-    if (!Between)
-      continue;
-    for (const DepLabel &L : E.Labels) {
-      if (!L.UDV)
-        return false; // unrepresentable internal dependence
-      if (L.Type == DepType::Flow && !L.UDV->isZero())
-        return false; // condition (ii) is permanent
-      UDVs.push_back(*L.UDV);
-    }
-  }
-  return findLoopStructure(UDVs, RA->rank()).has_value();
-}
 
 /// The branch-and-bound search over restricted-growth assignments.
 class Solver {
@@ -233,6 +190,10 @@ private:
   /// Arrays the objective can ever count: accepted by the filter, passing
   /// every partition-independent side condition of Definition 6, and with
   /// referencing statements that can pairwise share a cluster at all.
+  /// The pair test is the statement-set part of Definition 5: monotone,
+  /// so a failing pair fails in every partition. It deliberately leaves
+  /// out condition (iii), since a path around a pair can be absorbed into
+  /// a larger cluster.
   void collectCandidates() {
     FusionPartition Trivial = FusionPartition::trivial(G);
     for (const ArraySymbol *A : G.arraysByDecreasingWeight()) {
@@ -245,7 +206,7 @@ private:
       bool Feasible = true;
       for (unsigned I = 0; I < Refs.size() && Feasible; ++I)
         for (unsigned J = I + 1; J < Refs.size() && Feasible; ++J)
-          Feasible = pairCanEverCoCluster(G, Refs[I], Refs[J]);
+          Feasible = isFusibleStmtSet(G, {Refs[I], Refs[J]});
       if (!Feasible)
         continue;
       Candidates.push_back({A, G.referenceWeight(A) * ElemBytes, Refs});

@@ -22,7 +22,12 @@ std::string LoopStructureVector::str() const {
   Parts.reserve(Elems.size());
   for (int E : Elems)
     Parts.push_back(formatString("%d", E));
-  return "(" + join(Parts, ",") + ")";
+  // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict on
+  // `"(" + std::string`, which -Werror would turn into a build failure.
+  std::string Out = "(";
+  Out += join(Parts, ",");
+  Out += ")";
+  return Out;
 }
 
 Offset xform::constrain(const Offset &U, const LoopStructureVector &P) {

@@ -3,6 +3,7 @@
 #include "xform/PartialContraction.h"
 
 #include "analysis/Footprint.h"
+#include "xform/Fusion.h"
 
 #include <algorithm>
 
@@ -39,54 +40,10 @@ ir::Region PartialPlan::bufferRegion() const {
   return ir::Region(std::move(Lo), std::move(Hi));
 }
 
-namespace {
-
-/// The relaxed distance rule: zero along every distributed dimension.
-std::function<bool(const Offset &)> distributedNull(const SequentialDims &Seq) {
-  return [&Seq](const Offset &U) {
-    for (unsigned D = 0; D < U.rank(); ++D)
-      if (U[D] != 0 && !Seq.isSequential(D))
-        return false;
-    return true;
-  };
-}
-
-} // namespace
-
-bool xform::isLegalFusionRelaxed(const FusionPartition &P,
-                                 const std::set<unsigned> &C,
-                                 const SequentialDims &Seq,
-                                 LoopStructureVector *OutLSV) {
-  return isLegalFusionWithFlowRule(P, C, distributedNull(Seq), OutLSV);
-}
-
-bool xform::isPartiallyContractible(const FusionPartition &P,
-                                    const std::set<unsigned> &C,
-                                    const ir::ArraySymbol *Var,
-                                    const SequentialDims &Seq) {
-  return isContractibleWithRule(P, C, Var, distributedNull(Seq));
-}
-
 unsigned xform::fuseForPartialContraction(FusionPartition &P,
                                           const SequentialDims &Seq) {
-  const analysis::ASDG &G = P.graph();
-  unsigned Merges = 0;
-  for (const ArraySymbol *Var : G.arraysByDecreasingWeight()) {
-    std::set<unsigned> C = P.clustersReferencing(Var);
-    if (C.empty())
-      continue;
-    std::set<unsigned> Grown = P.grow(C);
-    C.insert(Grown.begin(), Grown.end());
-    if (C.size() < 2)
-      continue;
-    if (!isPartiallyContractible(P, C, Var, Seq))
-      continue;
-    if (!isLegalFusionRelaxed(P, C, Seq))
-      continue;
-    P.merge(C);
-    ++Merges;
-  }
-  return Merges;
+  return fuseGreedily(P, P.graph().arraysByDecreasingWeight(),
+                      contractibleUnder(Seq), Seq);
 }
 
 std::vector<PartialPlan> xform::planPartialContraction(
@@ -102,7 +59,7 @@ std::vector<PartialPlan> xform::planPartialContraction(
       continue;
     if (isContractible(P, Var))
       continue; // full contraction is strictly better
-    if (!isPartiallyContractible(P, std::set<unsigned>{}, Var, Seq))
+    if (!isContractible(P, std::set<unsigned>{}, Var, Seq))
       continue;
     const Region *Bounds = FI.boundsFor(Var);
     if (!Bounds)

@@ -14,19 +14,24 @@
 /// "may be relaxed when the dependence is along a dimension of the array
 /// that is not distributed".
 ///
-/// This module implements that relaxation. Given a set of *sequential*
-/// (non-distributed) dimensions:
+/// This module implements that relaxation. The sequential
+/// (non-distributed) dimensions are a `SequentialDims` (FusionPartition.h),
+/// and the relaxation is nothing but that argument to the one predicate
+/// pair and the one Figure 3 loop:
 ///
-///  * fusion legality is extended (`isLegalFusionRelaxed`): intra-cluster
-///    flow dependences may carry nonzero distance along sequential
-///    dimensions (the loops over those dimensions run sequentially on
-///    each processor, so such dependences do not inhibit parallelism);
-///  * an array whose dependences all have zero distance along every
-///    distributed dimension contracts to a rolling buffer: dimensions
-///    iterated by loops outside the outermost dependence-carrying loop
-///    shrink to extent 1, the carrying dimension shrinks to (max
-///    distance + 1) planes addressed modulo, and inner dimensions keep
-///    their full extent.
+///  * fusion legality, `isLegalFusion(P, C, Seq)`: intra-cluster flow
+///    dependences may carry nonzero distance along sequential dimensions
+///    (the loops over those dimensions run sequentially on each
+///    processor, so such dependences do not inhibit parallelism);
+///  * contractibility, `isContractible(P, C, Var, Seq)`: an array whose
+///    dependences all have zero distance along every distributed
+///    dimension contracts to a rolling buffer;
+///  * `fuseForPartialContraction` runs `fuseGreedily` with both.
+///
+/// `planPartialContraction` then shapes each buffer: dimensions iterated
+/// by loops outside the outermost dependence-carrying loop shrink to
+/// extent 1, the carrying dimension shrinks to (max distance + 1) planes
+/// addressed modulo, and inner dimensions keep their full extent.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,32 +45,6 @@
 
 namespace alf {
 namespace xform {
-
-/// Which array dimensions are sequential (not distributed across the
-/// processor grid). The paper's default — every dimension distributed —
-/// is `SequentialDims::none()`.
-class SequentialDims {
-  std::vector<bool> Seq;
-
-public:
-  /// All dimensions distributed (partial contraction disabled).
-  static SequentialDims none() { return SequentialDims(); }
-
-  /// Marks the given zero-based dimensions sequential.
-  static SequentialDims dims(std::initializer_list<unsigned> Dims) {
-    SequentialDims S;
-    for (unsigned D : Dims) {
-      if (D >= S.Seq.size())
-        S.Seq.resize(D + 1, false);
-      S.Seq[D] = true;
-    }
-    return S;
-  }
-
-  bool isSequential(unsigned D) const {
-    return D < Seq.size() && Seq[D];
-  }
-};
 
 /// The rolling-buffer shape chosen for one partially contracted array.
 struct PartialPlan {
@@ -96,27 +75,10 @@ struct PartialPlan {
   ir::Region bufferRegion() const;
 };
 
-/// Definition 5 legality with condition (ii) relaxed for sequential
-/// dimensions: intra-cluster flow dependences must have zero distance
-/// along every *distributed* dimension, but may carry distance along
-/// sequential ones. All other conditions are unchanged.
-bool isLegalFusionRelaxed(const FusionPartition &P,
-                          const std::set<unsigned> &C,
-                          const SequentialDims &Seq,
-                          LoopStructureVector *OutLSV = nullptr);
-
-/// True if \p Var can be contracted to a rolling buffer under partition
-/// \p P (Definition 6 with condition (ii) relaxed along sequential
-/// dimensions). Fully contractible arrays (all distances null) also
-/// satisfy this; callers typically handle them first.
-bool isPartiallyContractible(const FusionPartition &P,
-                             const std::set<unsigned> &C,
-                             const ir::ArraySymbol *Var,
-                             const SequentialDims &Seq);
-
-/// Greedy fusion pass (the Figure 3 loop with the relaxed predicates)
-/// that merges clusters to enable partial contraction of arrays that are
-/// not already contractible. Returns the number of merges.
+/// Greedy fusion pass (the Figure 3 loop with CONTRACTIBLE? and
+/// FUSION-PARTITION? relaxed along \p Seq) that merges clusters to enable
+/// partial contraction of arrays that are not already contractible.
+/// Returns the number of merges.
 unsigned fuseForPartialContraction(FusionPartition &P,
                                    const SequentialDims &Seq);
 

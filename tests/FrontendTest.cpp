@@ -274,6 +274,43 @@ array B : R;
   EXPECT_GE(Result.Errors.size(), 2u);
 }
 
+TEST(ParserTest, DeepNestingIsAPositionedError) {
+  // 100,000 parentheses: the recursive-descent parser stops at
+  // MaxExprNesting instead of overflowing its stack.
+  const std::string Deep = std::string(100000, '(') + "A" +
+                           std::string(100000, ')');
+  ParseResult Result = parseProgram("region R : [1..8];\narray A, B : R;\n"
+                                    "[R] B := " + Deep + ";\n");
+  EXPECT_FALSE(Result.succeeded());
+  ASSERT_EQ(Result.Errors.size(), 1u);
+  EXPECT_EQ(Result.Errors[0],
+            "3:" + std::to_string(10 + MaxExprNesting) +
+                ": expression nested deeper than " +
+                std::to_string(MaxExprNesting) + " levels");
+
+  // Unary minus and builtin calls nest too.
+  ParseResult Minus = parseProgram("region R : [1..8];\narray A, B : R;\n"
+                                   "[R] B := " + std::string(100000, '-') +
+                                   "A;\n");
+  EXPECT_FALSE(Minus.succeeded());
+  std::string Calls;
+  for (unsigned I = 0; I < 100000; ++I)
+    Calls += "abs(";
+  ParseResult Builtins = parseProgram(
+      "region R : [1..8];\narray A, B : R;\n[R] B := " + Calls + "A" +
+      std::string(100000, ')') + ";\n");
+  EXPECT_FALSE(Builtins.succeeded());
+}
+
+TEST(ParserTest, NestingUpToTheLimitParses) {
+  const std::string Nested = std::string(MaxExprNesting - 1, '(') + "A" +
+                             std::string(MaxExprNesting - 1, ')');
+  ParseResult Result = parseProgram("region R : [1..8];\narray A, B : R;\n"
+                                    "[R] B := " + Nested + ";\n");
+  EXPECT_TRUE(Result.succeeded())
+      << (Result.Errors.empty() ? "" : Result.Errors[0]);
+}
+
 TEST(ParserTest, ErrorsCarryPositions) {
   ParseResult Result = parseProgram("region R : [1..8]\narray A : R;");
   EXPECT_FALSE(Result.succeeded());

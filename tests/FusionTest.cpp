@@ -67,6 +67,14 @@ TEST(FusionPartitionTest, GrowFindsPathClusters) {
   // Growing a closed set adds nothing.
   std::set<unsigned> All{0, 1, 2};
   EXPECT_TRUE(FP.grow(All).empty());
+
+  // Definition 5 condition (iii): every dependence here has a null UDV,
+  // so only the cycle through S1 makes {S0,S2} illegal; the GROW-closed
+  // set is legal.
+  EXPECT_FALSE(isLegalFusion(FP, C));
+  EXPECT_TRUE(isLegalFusion(FP, All));
+  // Whole-partition acyclicity: {S0,S2} and {S1} depend on each other.
+  EXPECT_FALSE(isValidPartition(FusionPartition::fromAssignment(G, {0, 1, 0})));
 }
 
 TEST(LegalityTest, RegionMismatchBlocksFusion) {
@@ -102,7 +110,7 @@ TEST(LegalityTest, NullFlowAllowsFusion) {
   ASDG G = ASDG::build(*P);
   FusionPartition FP = FusionPartition::trivial(G);
   LoopStructureVector LSV;
-  EXPECT_TRUE(isLegalFusion(FP, {0, 1}, &LSV));
+  EXPECT_TRUE(isLegalFusion(FP, {0, 1}, SequentialDims::none(), &LSV));
   EXPECT_EQ(LSV, LoopStructureVector::identity(2));
 }
 
@@ -120,7 +128,7 @@ TEST(LegalityTest, AntiDependenceFusedByReversal) {
   ASDG G = ASDG::build(P);
   FusionPartition FP = FusionPartition::trivial(G);
   LoopStructureVector LSV;
-  ASSERT_TRUE(isLegalFusion(FP, {0, 1}, &LSV));
+  ASSERT_TRUE(isLegalFusion(FP, {0, 1}, SequentialDims::none(), &LSV));
   EXPECT_EQ(LSV, LoopStructureVector({-1, 2}));
 }
 

@@ -8,6 +8,14 @@ using namespace alf;
 using namespace alf::ir;
 using namespace alf::xform;
 
+namespace alf {
+namespace ir {
+// Print offsets by value so the parameterized test names below are stable;
+// gtest's default dumps the object bytes, which hold heap addresses.
+void PrintTo(const Offset &O, std::ostream *OS) { *OS << O.str(); }
+} // namespace ir
+} // namespace alf
+
 namespace {
 
 TEST(LoopStructureVectorTest, Identity) {

@@ -50,9 +50,9 @@ TEST(RelaxedLegalityTest, SequentialFlowDistanceAllowed) {
   // Strict Definition 5 refuses (loop-carried flow).
   EXPECT_FALSE(isLegalFusion(FP, {0, 1}));
   // Relaxed along dim 0: legal.
-  EXPECT_TRUE(isLegalFusionRelaxed(FP, {0, 1}, SequentialDims::dims({0})));
+  EXPECT_TRUE(isLegalFusion(FP, {0, 1}, SequentialDims::dims({0})));
   // Relaxed along dim 1 only: still illegal (distance is in dim 0).
-  EXPECT_FALSE(isLegalFusionRelaxed(FP, {0, 1}, SequentialDims::dims({1})));
+  EXPECT_FALSE(isLegalFusion(FP, {0, 1}, SequentialDims::dims({1})));
 }
 
 TEST(RelaxedLegalityTest, PartiallyContractible) {
@@ -62,9 +62,9 @@ TEST(RelaxedLegalityTest, PartiallyContractible) {
   const auto *T = cast<ArraySymbol>(P->findSymbol("T"));
   EXPECT_FALSE(isContractible(FP, {0, 1}, T));
   EXPECT_TRUE(
-      isPartiallyContractible(FP, {0, 1}, T, SequentialDims::dims({0})));
+      isContractible(FP, {0, 1}, T, SequentialDims::dims({0})));
   EXPECT_FALSE(
-      isPartiallyContractible(FP, {0, 1}, T, SequentialDims::dims({1})));
+      isContractible(FP, {0, 1}, T, SequentialDims::dims({1})));
 }
 
 TEST(PartialPlanTest, OutermostCarryGivesRollingWindow) {

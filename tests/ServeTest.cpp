@@ -181,6 +181,23 @@ TEST(ProtocolTest, NonObjectRootIsMalformed) {
             FrameRead::Malformed);
 }
 
+TEST(ProtocolTest, DeeplyNestedPayloadIsMalformed) {
+  // 100,000 nested arrays: a 200 KB frame, well under the frame cap, that
+  // the JSON parser must refuse instead of recursing into a stack
+  // overflow. The writer runs on its own thread because the frame is
+  // larger than the socket buffer.
+  SocketPair SP;
+  const std::string Deep = std::string(100000, '[') + std::string(100000, ']');
+  std::thread Writer(
+      [&] { writeRaw(SP.Fds[0], static_cast<uint32_t>(Deep.size()), Deep); });
+  json::Value Out;
+  std::string Why;
+  EXPECT_EQ(readFrame(SP.Fds[1], DefaultMaxFrameBytes, Out, &Why),
+            FrameRead::Malformed);
+  Writer.join();
+  EXPECT_NE(Why.find("nesting deeper than"), std::string::npos) << Why;
+}
+
 TEST(ProtocolTest, TruncatedPayloadIsIoError) {
   SocketPair SP;
   writeRaw(SP.Fds[0], 64, "only-a-little"); // promises 64, delivers 13
@@ -645,6 +662,42 @@ TEST_F(ServerTest, MalformedFrameIsAnsweredThenDropped) {
   json::Value Next;
   EXPECT_EQ(readFrame(Fd, DefaultMaxFrameBytes, Next), FrameRead::Eof);
   ::close(Fd);
+}
+
+TEST_F(ServerTest, DeeplyNestedInputGetsClassifiedErrors) {
+  // A deep JSON frame is malformed; deep mini-ZPL source inside a
+  // well-formed frame is a parse error. Both stay under the fixture's
+  // 64 KiB program cap.
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(Fd, 0);
+  sockaddr_un Addr;
+  std::memset(&Addr, 0, sizeof(Addr));
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Srv->options().SocketPath.c_str(),
+               sizeof(Addr.sun_path) - 1);
+  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
+                      sizeof(Addr)),
+            0);
+  const std::string DeepJson =
+      std::string(30000, '[') + std::string(30000, ']');
+  writeRaw(Fd, static_cast<uint32_t>(DeepJson.size()), DeepJson);
+  json::Value Resp;
+  ASSERT_EQ(readFrame(Fd, DefaultMaxFrameBytes, Resp), FrameRead::Ok);
+  EXPECT_EQ(Resp.getString("error").value_or(""), "malformed");
+  ::close(Fd);
+
+  const std::string DeepSource =
+      "region R : [1..4];\narray A, B : R;\n[R] B := " +
+      std::string(30000, '(') + "A" + std::string(30000, ')') + ";\n";
+  json::Value Parsed = roundTrip(Client::makeCompile(DeepSource, "c2"));
+  EXPECT_EQ(Parsed.getBool("ok").value_or(true), false);
+  EXPECT_EQ(Parsed.getString("error").value_or(""), "parse");
+  EXPECT_NE(Parsed.getString("message").value_or("").find("nested deeper"),
+            std::string::npos);
+
+  // The daemon is still serving.
+  EXPECT_EQ(roundTrip(Client::makeHealth()).getBool("ok").value_or(false),
+            true);
 }
 
 TEST_F(ServerTest, OversizedProgramIsRejectedFromItsLengthPrefix) {

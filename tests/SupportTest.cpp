@@ -1,6 +1,7 @@
 //===- tests/SupportTest.cpp - Support library unit tests --------------------===//
 
 #include "support/Casting.h"
+#include "support/Json.h"
 #include "support/Random.h"
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
@@ -113,6 +114,37 @@ TEST(CastingTest, IsaCastDynCast) {
   EXPECT_EQ(cast<DerivedA>(CB), &A);
   EXPECT_EQ(dyn_cast_if_present<DerivedA>(static_cast<Base *>(nullptr)),
             nullptr);
+}
+
+TEST(JsonTest, DeepNestingIsAPositionedError) {
+  // 100,000 levels fit a 200 KB frame; each level costs the recursive
+  // parser a few stack frames.
+  const std::string Deep = std::string(100000, '[') + std::string(100000, ']');
+  std::string Error;
+  EXPECT_FALSE(json::parse(Deep, &Error).has_value());
+  EXPECT_EQ(Error, "offset " + std::to_string(json::MaxNestingDepth) +
+                       ": nesting deeper than " +
+                       std::to_string(json::MaxNestingDepth) + " levels");
+
+  // Objects count toward the same limit.
+  std::string Objects;
+  for (unsigned I = 0; I <= json::MaxNestingDepth; ++I)
+    Objects += "{\"k\":";
+  Objects += "1" + std::string(json::MaxNestingDepth + 1, '}');
+  EXPECT_FALSE(json::parse(Objects).has_value());
+}
+
+TEST(JsonTest, NestingUpToTheLimitParses) {
+  const unsigned N = json::MaxNestingDepth;
+  auto V = json::parse(std::string(N, '[') + "7" + std::string(N, ']'));
+  ASSERT_TRUE(V.has_value());
+  const json::Value *Cur = &*V;
+  for (unsigned I = 0; I < N; ++I) {
+    ASSERT_TRUE(Cur->isArray());
+    ASSERT_EQ(Cur->size(), 1u);
+    Cur = &Cur->items()[0];
+  }
+  EXPECT_EQ(Cur->asNumber(), 7);
 }
 
 } // namespace
