@@ -30,6 +30,8 @@ ALF_STATISTIC(NumJitCompileFailures, "jit",
               "Compiler invocations that failed or timed out");
 ALF_STATISTIC(NumJitCacheMemoryHits, "jit",
               "Kernels served from the in-memory cache");
+ALF_STATISTIC(NumJitEmissions, "jit", "Kernel C modules emitted");
+ALF_STATISTIC(NumJitSourceHashes, "jit", "Kernel sources content-hashed");
 ALF_STATISTIC(NumJitCacheDiskHits, "jit",
               "Kernels loaded from the on-disk cache");
 ALF_STATISTIC(NumJitCacheCorrupt, "jit",
@@ -67,8 +69,10 @@ std::string defaultCacheDir() {
 /// compiler version. Any of the three changing yields a new cache entry.
 uint64_t contentHash(const std::string &Source, const JitOptions &Opts,
                      const std::string &CompilerVersion) {
-  return hashName(Source + '\x1f' + Opts.Compiler + ' ' + Opts.Flags +
-                  '\x1f' + CompilerVersion);
+  ++NumJitSourceHashes;
+  return hashName('\x1f' + Opts.Compiler + ' ' + Opts.Flags + '\x1f' +
+                      CompilerVersion,
+                  hashName(Source));
 }
 
 std::string soPathFor(const std::string &CacheDir, uint64_t Hash) {
@@ -166,7 +170,8 @@ bool JitEngine::compilerAvailable(const JitOptions &Opts) {
   return runCommand(Opts.Compiler + " --version > /dev/null").ok();
 }
 
-const std::string &JitEngine::compilerVersion() {
+std::string JitEngine::compilerVersion() {
+  std::lock_guard<std::mutex> Lock(Mutex);
   if (!CompilerVersionProbed) {
     CompilerVersion = commandFirstLine(Opts.Compiler + " --version");
     CompilerVersionProbed = true;
@@ -174,21 +179,86 @@ const std::string &JitEngine::compilerVersion() {
   return CompilerVersion;
 }
 
+scalarize::CModule JitEngine::emit(const LoopProgram &LP) const {
+  ++NumJitEmissions;
+  obs::Span S(Opts.Vectorize ? "jit.vectorize" : "jit.emit");
+  scalarize::CEmitOptions EmitOpts;
+  EmitOpts.Vectorize = Opts.Vectorize;
+  EmitOpts.VectorWidth = Opts.VectorWidth;
+  return scalarize::emitCModule(LP, KernelName, EmitOpts);
+}
+
+std::shared_ptr<const JitEngine::PreparedKernel>
+JitEngine::prepare(const LoopProgram &LP, JitRunInfo &Info,
+                   std::string &WhyNot) {
+  // The emission test hook is part of the key: a planted fault changes
+  // the module emitted for the same program state.
+  const std::shared_ptr<const uint64_t> &Id = LP.identity();
+  uint64_t Key = Id ? *Id : 0; // 0: a moved-from program, never memoized
+  scalarize::VectorizeFault Fault = scalarize::vectorizeFaultForTest();
+  {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    for (;;) {
+      auto It = Prepared.find(Key);
+      if (It != Prepared.end() && It->second->Fault == Fault) {
+        Info.CacheHitMemory = true;
+        Info.SoPath = It->second->SoPath;
+        ++NumJitCacheMemoryHits;
+        obs::instant("jit.cache.memory_hit");
+        return It->second;
+      }
+      if (Preparing.insert(Key).second)
+        break;
+      InFlightDone.wait(Lock);
+    }
+  }
+
+  // The identity is claimed until this returns: the guard releases it
+  // and wakes the waiters, whether or not a kernel came out.
+  struct Claim {
+    JitEngine &E;
+    uint64_t Key;
+    Claim(JitEngine &E, uint64_t Key) : E(E), Key(Key) {}
+    Claim(const Claim &) = delete;
+    Claim &operator=(const Claim &) = delete;
+    ~Claim() {
+      std::lock_guard<std::mutex> Lock(E.Mutex);
+      E.Preparing.erase(Key);
+      E.InFlightDone.notify_all();
+    }
+  } Held(*this, Key);
+
+  auto K = std::make_shared<PreparedKernel>();
+  K->Program = Id;
+  K->Fault = Fault;
+  K->Module = emit(LP);
+  if (!K->Module.ok())
+    WhyNot = "emission failed: " + K->Module.Error;
+  else
+    K->Kernel = kernelFor(K->Module, Info, WhyNot);
+  K->SoPath = Info.SoPath;
+  K->Module.Source = std::string();
+  if (K->Kernel && Id) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    for (auto It = Prepared.begin(); It != Prepared.end();)
+      It = It->second->Program.expired() ? Prepared.erase(It) : std::next(It);
+    Prepared[Key] = K;
+  }
+  return K;
+}
+
 JitEngine::LoadedKernel *JitEngine::kernelFor(const scalarize::CModule &Module,
                                               JitRunInfo &Info,
                                               std::string &WhyNot) {
-  uint64_t Hash;
+  std::string Version = compilerVersion();
+  if (Version.empty()) {
+    WhyNot = "compiler '" + Opts.Compiler + "' is not available";
+    return nullptr;
+  }
+  uint64_t Hash = contentHash(Module.Source, Opts, Version);
+  Info.SoPath = soPathFor(Opts.CacheDir, Hash);
   {
     std::unique_lock<std::mutex> Lock(Mutex);
-
-    std::string Version = compilerVersion();
-    if (Version.empty()) {
-      WhyNot = "compiler '" + Opts.Compiler + "' is not available";
-      return nullptr;
-    }
-
-    Hash = contentHash(Module.Source, Opts, Version);
-    Info.SoPath = soPathFor(Opts.CacheDir, Hash);
 
     // Single-flight admission: either the kernel is loaded (hit), or
     // someone else is compiling it (wait, then re-check), or this thread
@@ -331,13 +401,8 @@ void JitEngine::runOnStorage(const LoopProgram &LP, Storage &Store,
   ++NumJitRuns;
   JitRunInfo Info;
   std::string WhyNot;
-  scalarize::CEmitOptions EmitOpts;
-  EmitOpts.Vectorize = Opts.Vectorize;
-  EmitOpts.VectorWidth = Opts.VectorWidth;
-  scalarize::CModule Module = [&] {
-    obs::Span S(Opts.Vectorize ? "jit.vectorize" : "jit.emit");
-    return scalarize::emitCModule(LP, KernelName, EmitOpts);
-  }();
+  std::shared_ptr<const PreparedKernel> Prep = prepare(LP, Info, WhyNot);
+  const scalarize::CModule &Module = Prep->Module;
   if (Opts.Vectorize && Module.ok()) {
     Info.VectorizedNests = Module.NumVectorizedNests;
     Info.VectorFallbacks = Module.NumVectorFallbacks;
@@ -349,11 +414,7 @@ void JitEngine::runOnStorage(const LoopProgram &LP, Storage &Store,
     for (unsigned I = 0; I < Module.NumVectorFallbacks; ++I)
       obs::instant("jit.vectorize.fallback");
   }
-  LoadedKernel *Kernel = nullptr;
-  if (!Module.ok())
-    WhyNot = "emission failed: " + Module.Error;
-  else
-    Kernel = kernelFor(Module, Info, WhyNot);
+  LoadedKernel *Kernel = Prep->Kernel;
 
   // Marshal the caller-owned buffers in the module's argument order. The
   // emitter's layouts are computed from the same footprint bounds (and
@@ -409,10 +470,9 @@ RunResult JitEngine::run(const LoopProgram &LP, uint64_t Seed,
 }
 
 std::string JitEngine::cachePathFor(const LoopProgram &LP) {
-  scalarize::CModule Module = scalarize::emitCModule(LP, KernelName);
+  scalarize::CModule Module = emit(LP);
   if (!Module.ok())
     return "";
-  std::lock_guard<std::mutex> Lock(Mutex);
   return soPathFor(Opts.CacheDir,
                    contentHash(Module.Source, Opts, compilerVersion()));
 }

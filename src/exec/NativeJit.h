@@ -17,6 +17,9 @@
 /// emitted source, the compiler flags and the compiler version — so a
 /// strategy sweep or the 50-seed stress harness pays each compile once,
 /// and a toolchain upgrade invalidates stale objects automatically.
+/// Emission and hashing are paid once per LoopProgram state: each engine
+/// keeps the prepared kernel of every live program it has run, so a
+/// warm run neither emits nor hashes C (see JitEngine).
 ///
 /// The fallback ladder keeps the backend total: emission failure, missing
 /// compiler, compile failure/timeout, dlopen or dlsym failure each
@@ -37,9 +40,11 @@
 
 #include <condition_variable>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <unordered_map>
 
 namespace alf {
 namespace exec {
@@ -147,6 +152,17 @@ struct JitRunInfo {
 ///    is destroyed, and std::map never moves mapped values, so the
 ///    pointer kernelFor returns stays valid (and Entry is immutable) for
 ///    the engine's lifetime; dispatch through it needs no lock.
+///  - Preparation (emit the C module, hash it, find or build the kernel,
+///    record the argument order) happens once per LoopProgram state:
+///    the result is memoized under LoopProgram::identity() plus the
+///    emission test hook, so a warm run is a lookup, argument
+///    marshalling and the call. Preparation is single-flight per
+///    identity the same way compiles are per content hash: N threads
+///    making the first run of one program emit it once. A memo entry is
+///    immutable and shared, so a run keeps using its entry even if
+///    another thread replaces it; entries whose program was mutated or
+///    destroyed are dropped at the next preparation, so the memo holds
+///    no more than the programs still alive.
 ///  - The disk-cache LRU bound (MaxCacheBytes) may evict an entry that a
 ///    concurrent thread or process is between installing and dlopening.
 ///    Eviction deletes oldest-mtime first and a just-installed entry is
@@ -195,6 +211,26 @@ private:
     void (*Entry)(double **, double *) = nullptr;
   };
 
+  /// The prepared form of one LoopProgram state: what a warm run needs.
+  struct PreparedKernel {
+    std::weak_ptr<const uint64_t> Program; ///< LoopProgram::identity()
+    scalarize::VectorizeFault Fault =      ///< emission hook it was built under
+        scalarize::VectorizeFault::None;
+    scalarize::CModule Module;             ///< Source dropped once hashed
+    LoadedKernel *Kernel = nullptr;        ///< null: WhyNot says why
+    std::string SoPath;
+  };
+
+  /// Returns \p LP's prepared kernel, from the memo when this state of
+  /// \p LP was prepared before (a memory hit), else by emitting and
+  /// calling kernelFor. Kernel is null, with \p WhyNot set, when a rung
+  /// failed; failures are not memoized, so the next run retries.
+  std::shared_ptr<const PreparedKernel>
+  prepare(const lir::LoopProgram &LP, JitRunInfo &Info, std::string &WhyNot);
+
+  /// Emits \p LP under this engine's emission options.
+  scalarize::CModule emit(const lir::LoopProgram &LP) const;
+
   /// Returns the entry point for \p Module's kernel, compiling and/or
   /// loading as needed; null with \p WhyNot set when every rung failed.
   /// Single-flight per content hash (see the class comment).
@@ -206,13 +242,19 @@ private:
   void compileAndLoad(const scalarize::CModule &Module, JitRunInfo &Info,
                       LoadedKernel &Out, std::string &WhyNot);
 
-  const std::string &compilerVersion();
+  /// The compiler's `--version` line, probed once under the engine mutex.
+  std::string compilerVersion();
 
   JitOptions Opts;
   std::mutex Mutex;
   std::map<uint64_t, LoadedKernel> Kernels; // by content hash
   std::set<uint64_t> InFlight;              // hashes being compiled now
   std::condition_variable InFlightDone;     // signaled per finished compile
+                                            // or preparation
+  // Prepared kernels by LoopProgram::identity() value, and the identities
+  // being prepared now.
+  std::unordered_map<uint64_t, std::shared_ptr<const PreparedKernel>> Prepared;
+  std::set<uint64_t> Preparing;
   std::string CompilerVersion;
   bool CompilerVersionProbed = false;
 };

@@ -41,8 +41,7 @@ void ArrayBuffer::fillZero() {
     V = 0.0;
 }
 
-uint64_t exec::hashName(const std::string &Name) {
-  uint64_t H = 0xcbf29ce484222325ULL;
+uint64_t exec::hashName(std::string_view Name, uint64_t H) {
   for (char C : Name) {
     H ^= static_cast<unsigned char>(C);
     H *= 0x100000001b3ULL;

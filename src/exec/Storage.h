@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 namespace alf {
@@ -127,7 +128,10 @@ public:
 
 /// Deterministic 64-bit hash of a string (FNV-1a); used to derive
 /// per-array initialization seeds that are stable across strategies.
-uint64_t hashName(const std::string &Name);
+/// Passing the hash of a prefix as \p H continues it, so hashing pieces
+/// in turn equals hashing their concatenation, without building it.
+uint64_t hashName(std::string_view Name,
+                  uint64_t H = 0xcbf29ce484222325ULL);
 
 } // namespace exec
 } // namespace alf

@@ -23,6 +23,7 @@ class Parser {
   std::map<std::string, unsigned> RegionRanks;
   std::map<std::string, Offset> Directions;
   unsigned Nesting = 0; ///< parseFactor calls on the stack
+  unsigned Terms = 0;   ///< parseFactor calls in this statement's expression
 
 public:
   Parser(const std::string &Source, const std::string &Name,
@@ -310,6 +311,12 @@ private:
   // Expressions
   //===------------------------------------------------------------------===//
 
+  /// A statement's whole right-hand side (or reduction body).
+  ExprPtr parseStmtExpr() {
+    Terms = 0;
+    return parseExpr();
+  }
+
   ExprPtr parseExpr() {
     ExprPtr L = parseTerm();
     while (L && (at(TokenKind::Plus) || at(TokenKind::Minus))) {
@@ -342,6 +349,11 @@ private:
                          MaxExprNesting));
       return nullptr;
     }
+    if (Terms == MaxExprTerms) {
+      error(formatString("expression has more than %u terms", MaxExprTerms));
+      return nullptr;
+    }
+    ++Terms;
     ++Nesting;
     ExprPtr E = parseFactorAtDepth();
     --Nesting;
@@ -485,7 +497,7 @@ private:
         error("reduction target " + LHSName + " must be a scalar");
         return syncToSemi();
       }
-      ExprPtr Body = parseExpr();
+      ExprPtr Body = parseStmtExpr();
       if (!Body)
         return syncToSemi();
       if (!expect(TokenKind::Semi, "';'"))
@@ -507,7 +519,7 @@ private:
                          RIt->second->rank()));
       return syncToSemi();
     }
-    ExprPtr RHS = parseExpr();
+    ExprPtr RHS = parseStmtExpr();
     if (!RHS)
       return syncToSemi();
     if (!expect(TokenKind::Semi, "';'"))

@@ -67,6 +67,13 @@ struct ParseResult {
 /// rather than a stack overflow.
 inline constexpr unsigned MaxExprNesting = 256;
 
+/// Most terms (operands, parenthesized groups, negations and builtin
+/// calls: every factor) one statement's expression may have. A flat
+/// `A + A + ... + A` chain builds an expression tree as deep as it is
+/// long, and every later pass walks that tree recursively, so a longer
+/// chain is a "line:col:" diagnostic rather than a stack overflow.
+inline constexpr unsigned MaxExprTerms = 4096;
+
 /// Parses \p Source into a Program named \p Name.
 ParseResult parseProgram(const std::string &Source,
                          const std::string &Name = "main");

@@ -987,6 +987,10 @@ void scalarize::setVectorizeFaultForTest(VectorizeFault Mode) {
   TestVectorizeFaultApplied = false;
 }
 
+VectorizeFault scalarize::vectorizeFaultForTest() {
+  return TestVectorizeFault;
+}
+
 bool scalarize::vectorizeFaultAppliedForTest() {
   return TestVectorizeFaultApplied;
 }

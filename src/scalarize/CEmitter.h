@@ -143,6 +143,11 @@ enum class VectorizeFault {
 /// statistic moved. Scalar emission ignores the hook.
 void setVectorizeFaultForTest(VectorizeFault Mode);
 
+/// The mode setVectorizeFaultForTest installed. Caches of emitted code
+/// (the native JIT's prepared kernels) make it part of their key, so
+/// planting or clearing a fault makes the next run emit afresh.
+VectorizeFault vectorizeFaultForTest();
+
 /// Whether the most recent vectorizing emission actually saw the planted
 /// fault (i.e. it had at least one nest to refuse).
 bool vectorizeFaultAppliedForTest();

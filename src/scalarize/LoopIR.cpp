@@ -4,6 +4,7 @@
 
 #include "support/StringUtil.h"
 
+#include <atomic>
 #include <sstream>
 
 using namespace alf;
@@ -12,9 +13,16 @@ using namespace alf::lir;
 
 LNode::~LNode() = default;
 
+std::shared_ptr<const uint64_t> LoopProgram::freshIdentity() {
+  static std::atomic<uint64_t> Next{1};
+  return std::make_shared<const uint64_t>(
+      Next.fetch_add(1, std::memory_order_relaxed));
+}
+
 const ScalarSymbol *LoopProgram::addContraction(const ArraySymbol *A) {
   if (const ScalarSymbol *Existing = scalarFor(A))
     return Existing;
+  Identity = freshIdentity();
   auto Scalar = std::make_unique<ScalarSymbol>(
       "s_" + A->getName(), 100000 + static_cast<unsigned>(OwnedScalars.size()));
   const ScalarSymbol *Raw = Scalar.get();

@@ -20,6 +20,7 @@
 #include "xform/LoopStructure.h"
 #include "xform/PartialContraction.h"
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -154,21 +155,37 @@ public:
 /// topological order plus the scalars created by contraction.
 class LoopProgram {
   const ir::Program *Src = nullptr;
+  std::shared_ptr<const uint64_t> Identity = freshIdentity();
   std::vector<std::unique_ptr<LNode>> Nodes;
   std::vector<std::unique_ptr<ir::ScalarSymbol>> OwnedScalars;
   std::vector<std::unique_ptr<ir::Region>> OwnedRegions;
   std::map<const ir::ArraySymbol *, const ir::ScalarSymbol *> ContractionMap;
   std::map<const ir::ArraySymbol *, xform::PartialPlan> PartialMap;
 
+  static std::shared_ptr<const uint64_t> freshIdentity();
+
 public:
   explicit LoopProgram(const ir::Program &SrcProg) : Src(&SrcProg) {}
 
   const ir::Program &source() const { return *Src; }
 
-  void addNode(std::unique_ptr<LNode> N) { Nodes.push_back(std::move(N)); }
+  /// The identity of this program's current contents, for caches of work
+  /// derived from them (the native JIT's prepared kernels): a
+  /// process-unique number that is never reused. Every mutator below
+  /// replaces it, so a cache keyed on the number never serves a mutated
+  /// program, and a cache holding a weak reference to the token sees it
+  /// expire once the program is mutated or destroyed. Null only in a
+  /// moved-from program.
+  const std::shared_ptr<const uint64_t> &identity() const { return Identity; }
+
+  void addNode(std::unique_ptr<LNode> N) {
+    Identity = freshIdentity();
+    Nodes.push_back(std::move(N));
+  }
 
   /// Inserts \p N before position \p Pos (communication insertion).
   void insertNode(size_t Pos, std::unique_ptr<LNode> N) {
+    Identity = freshIdentity();
     Nodes.insert(Nodes.begin() + static_cast<ptrdiff_t>(Pos), std::move(N));
   }
 
@@ -176,7 +193,12 @@ public:
 
   /// Mutable access for post-scalarization passes (communication
   /// insertion, ablation experiments that override loop structures).
-  std::vector<std::unique_ptr<LNode>> &nodesMutable() { return Nodes; }
+  /// Renews identity(): mutate through the returned reference before the
+  /// program next runs, not while a backend holds it.
+  std::vector<std::unique_ptr<LNode>> &nodesMutable() {
+    Identity = freshIdentity();
+    return Nodes;
+  }
 
   /// Registers \p A as contracted and returns its replacement scalar.
   const ir::ScalarSymbol *addContraction(const ir::ArraySymbol *A);
@@ -186,6 +208,7 @@ public:
   /// Program; nests whose region is synthesized after scalarization
   /// (fault-injection hooks, ablation experiments) park theirs here.
   const ir::Region *ownRegion(ir::Region R) {
+    Identity = freshIdentity();
     OwnedRegions.push_back(std::make_unique<ir::Region>(std::move(R)));
     return OwnedRegions.back().get();
   }
@@ -204,6 +227,7 @@ public:
   /// Registers a rolling-buffer plan for a partially contracted array
   /// (the paper's lower-dimensional contraction extension).
   void addPartialPlan(xform::PartialPlan Plan) {
+    Identity = freshIdentity();
     PartialMap.emplace(Plan.Array, std::move(Plan));
   }
 

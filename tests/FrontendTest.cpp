@@ -311,6 +311,43 @@ TEST(ParserTest, NestingUpToTheLimitParses) {
       << (Result.Errors.empty() ? "" : Result.Errors[0]);
 }
 
+/// `[R] B := A+A+...+A;` with \p Terms operands.
+std::string chainSource(unsigned Terms) {
+  std::string Chain = "A";
+  for (unsigned I = 1; I < Terms; ++I)
+    Chain += "+A";
+  return "region R : [1..8];\narray A, B : R;\n[R] B := " + Chain + ";\n";
+}
+
+TEST(ParserTest, LongFlatChainIsAPositionedError) {
+  // A flat chain nests nothing, but its expression tree is as deep as
+  // the chain is long; the parser stops at MaxExprTerms, at the first
+  // term past the limit (column 10 + 2 * MaxExprTerms).
+  ParseResult Result = parseProgram(chainSource(MaxExprTerms + 1));
+  EXPECT_FALSE(Result.succeeded());
+  ASSERT_EQ(Result.Errors.size(), 1u);
+  EXPECT_EQ(Result.Errors[0],
+            "3:" + std::to_string(10 + 2 * MaxExprTerms) +
+                ": expression has more than " + std::to_string(MaxExprTerms) +
+                " terms");
+
+  // 250,000 terms: one error, and the next statement still parses.
+  ParseResult Huge = parseProgram(chainSource(250000) + "[R] A := B;\n");
+  EXPECT_FALSE(Huge.succeeded());
+  EXPECT_EQ(Huge.Errors.size(), 1u);
+}
+
+TEST(ParserTest, ChainUpToTheLimitParses) {
+  ParseResult Result = parseProgram(chainSource(MaxExprTerms));
+  EXPECT_TRUE(Result.succeeded())
+      << (Result.Errors.empty() ? "" : Result.Errors[0]);
+
+  // The limit is per statement, not per program.
+  ParseResult Two = parseProgram(chainSource(MaxExprTerms) +
+                                 "[R] A := B + B;\n");
+  EXPECT_TRUE(Two.succeeded()) << (Two.Errors.empty() ? "" : Two.Errors[0]);
+}
+
 TEST(ParserTest, ErrorsCarryPositions) {
   ParseResult Result = parseProgram("region R : [1..8]\narray A : R;");
   EXPECT_FALSE(Result.succeeded());

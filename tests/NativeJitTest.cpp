@@ -11,6 +11,7 @@
 #include "exec/NativeJit.h"
 
 #include "analysis/ASDG.h"
+#include "exec/Eval.h"
 #include "exec/ParallelExecutor.h"
 #include "ir/Normalize.h"
 #include "obs/Obs.h"
@@ -25,6 +26,8 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <latch>
+#include <optional>
 #include <thread>
 #include <unistd.h>
 
@@ -451,15 +454,15 @@ TEST(NativeJitTest, ObsMetricsDistinguishCompileFromCacheHit) {
   EXPECT_GT(Dispatch->Bytes, 0u);
   EXPECT_FALSE(obs::metricsFor("jit.cache.memory_hit").has_value());
 
-  // Warm: the same engine serves the kernel from memory. Zero compiles,
-  // nonzero cache hits. Emission still happens once per run because the
-  // cache key is the content hash of the emitted source.
+  // Warm: the same engine serves the prepared kernel from memory. Zero
+  // compiles and zero emissions, nonzero cache hits.
   obs::reset();
   JitRunInfo Warm;
   Engine.run(LP, 12, &Warm);
   ASSERT_TRUE(Warm.UsedJit);
   ASSERT_TRUE(Warm.CacheHitMemory);
   EXPECT_FALSE(obs::metricsFor("jit.compile").has_value());
+  EXPECT_FALSE(obs::metricsFor("jit.emit").has_value());
   auto Hit = obs::metricsFor("jit.cache.memory_hit");
   ASSERT_TRUE(Hit.has_value());
   EXPECT_EQ(Hit->Count, 1u);
@@ -467,6 +470,221 @@ TEST(NativeJitTest, ObsMetricsDistinguishCompileFromCacheHit) {
   ASSERT_TRUE(WarmDispatch.has_value());
   EXPECT_EQ(WarmDispatch->Count, 1u);
   obs::reset();
+}
+
+//===----------------------------------------------------------------------===//
+// Prepared kernels: emission, hashing and kernel lookup happen once per
+// LoopProgram state per engine; a warm run only marshals and calls.
+//===----------------------------------------------------------------------===//
+
+uint64_t emissions() { return getStatisticValue("jit", "NumJitEmissions"); }
+uint64_t sourceHashes() {
+  return getStatisticValue("jit", "NumJitSourceHashes");
+}
+
+/// Engine options for one tier over a fresh cache directory.
+JitOptions tierOptions(const TempCacheDir &Cache, bool Vectorize) {
+  JitOptions Opts;
+  Opts.CacheDir = Cache.Path;
+  Opts.Vectorize = Vectorize;
+  return Opts;
+}
+
+const char *tierName(bool Vectorize) {
+  return Vectorize ? "vector tier" : "scalar tier";
+}
+
+TEST(NativeJitTest, WarmRunsEmitAndHashNothing) {
+  if (!HaveCompiler)
+    GTEST_SKIP() << "no usable system C compiler";
+  auto P = tp::makeUserTempPair();
+  auto LP = makeLoopProgram(*P);
+  // Exact: the vector tier must be bit-identical on this program too.
+  ASSERT_EQ(scalarize::simdToleranceFor(LP), support::Tolerance::Exact);
+
+  for (bool Vectorize : {false, true}) {
+    SCOPED_TRACE(tierName(Vectorize));
+    TempCacheDir Cache;
+    JitEngine Engine(tierOptions(Cache, Vectorize));
+    Storage JitStore = allocateStorage(LP, 31);
+    Storage RefStore = allocateStorage(LP, 31);
+
+    JitRunInfo Cold;
+    Engine.runOnStorage(LP, JitStore, &Cold);
+    exec::runOnStorage(LP, RefStore);
+    ASSERT_TRUE(Cold.UsedJit) << Cold.FallbackReason;
+    ASSERT_TRUE(Cold.Compiled);
+
+    obs::ScopedLevel Lvl(obs::ObsLevel::Counters);
+    obs::reset();
+    uint64_t Emitted = emissions(), Hashed = sourceHashes();
+    uint64_t Hits = getStatisticValue("jit", "NumJitCacheMemoryHits");
+    uint64_t Vectorized =
+        getStatisticValue("jit.vectorize", "NumVectorizedNests");
+    for (unsigned I = 0; I < 100; ++I) {
+      JitRunInfo Warm;
+      Engine.runOnStorage(LP, JitStore, &Warm);
+      exec::runOnStorage(LP, RefStore);
+      ASSERT_TRUE(Warm.UsedJit) << Warm.FallbackReason;
+      ASSERT_TRUE(Warm.CacheHitMemory);
+      ASSERT_FALSE(Warm.Compiled);
+      ASSERT_EQ(Warm.SoPath, Cold.SoPath);
+      ASSERT_EQ(Warm.VectorizedNests, Cold.VectorizedNests);
+    }
+    EXPECT_EQ(emissions(), Emitted);
+    EXPECT_EQ(sourceHashes(), Hashed);
+    EXPECT_FALSE(
+        obs::metricsFor(Vectorize ? "jit.vectorize" : "jit.emit").has_value());
+    auto Dispatch = obs::metricsFor("jit.dispatch");
+    ASSERT_TRUE(Dispatch.has_value());
+    EXPECT_EQ(Dispatch->Count, 100u);
+    obs::reset();
+    // The per-run statistics keep counting warm runs.
+    EXPECT_EQ(getStatisticValue("jit", "NumJitCacheMemoryHits"), Hits + 100);
+    EXPECT_EQ(getStatisticValue("jit.vectorize", "NumVectorizedNests"),
+              Vectorized + 100 * Cold.VectorizedNests);
+    if (Vectorize) {
+      EXPECT_GT(Cold.VectorizedNests, 0u);
+    }
+
+    std::string Why;
+    EXPECT_TRUE(resultsMatch(collectResults(LP, RefStore),
+                             collectResults(LP, JitStore), 0.0, &Why))
+        << Why;
+  }
+}
+
+/// Adds 1 to the right-hand side of the last statement of the first nest
+/// through nodesMutable(), so the mutated program computes different
+/// values.
+void bumpFirstNest(lir::LoopProgram &LP) {
+  for (auto &Node : LP.nodesMutable())
+    if (auto *Nest = dyn_cast<lir::LoopNest>(Node.get())) {
+      lir::ScalarStmt &S = Nest->Body.back();
+      S.RHS = ir::add(std::move(S.RHS), ir::cst(1.0));
+      return;
+    }
+}
+
+TEST(NativeJitTest, MutatedProgramIsPreparedAgain) {
+  if (!HaveCompiler)
+    GTEST_SKIP() << "no usable system C compiler";
+  for (bool Vectorize : {false, true}) {
+    SCOPED_TRACE(tierName(Vectorize));
+    TempCacheDir Cache;
+    JitEngine Engine(tierOptions(Cache, Vectorize));
+    auto P = tp::makeUserTempPair();
+    auto LP = makeLoopProgram(*P);
+
+    JitRunInfo Info;
+    RunResult Before = Engine.run(LP, 37, &Info);
+    ASSERT_TRUE(Info.UsedJit) << Info.FallbackReason;
+
+    // nodesMutable: the new body must be emitted, compiled and run.
+    uint64_t Emitted = emissions();
+    bumpFirstNest(LP);
+    RunResult Bumped = Engine.run(LP, 37, &Info);
+    ASSERT_TRUE(Info.UsedJit) << Info.FallbackReason;
+    EXPECT_TRUE(Info.Compiled);
+    EXPECT_EQ(emissions(), Emitted + 1);
+    std::string Why;
+    EXPECT_FALSE(resultsMatch(Before, Bumped, 0.0, &Why));
+    EXPECT_TRUE(resultsMatch(run(LP, 37), Bumped, 0.0, &Why)) << Why;
+
+    // insertNode: a halo exchange is a no-op in one address space, but
+    // it changes the program, so it is emitted again.
+    auto Comm = std::make_unique<lir::CommOp>();
+    Comm->Array = P->arrays().front();
+    Comm->Dir = ir::Offset({1, 0});
+    LP.insertNode(0, std::move(Comm));
+    RunResult Inserted = Engine.run(LP, 37, &Info);
+    ASSERT_TRUE(Info.UsedJit) << Info.FallbackReason;
+    EXPECT_FALSE(Info.CacheHitMemory);
+    EXPECT_EQ(emissions(), Emitted + 2);
+    EXPECT_TRUE(resultsMatch(run(LP, 37), Inserted, 0.0, &Why)) << Why;
+
+    // Unchanged since: warm again.
+    Engine.run(LP, 37, &Info);
+    EXPECT_TRUE(Info.CacheHitMemory);
+    EXPECT_EQ(emissions(), Emitted + 2);
+  }
+}
+
+TEST(NativeJitTest, DestroyedProgramNeverLendsItsKernel) {
+  if (!HaveCompiler)
+    GTEST_SKIP() << "no usable system C compiler";
+  TempCacheDir Cache;
+  JitEngine Engine(tierOptions(Cache, false));
+  auto PA = tp::makeFigure2();
+  auto PB = tp::makeUserTempPair();
+  ir::normalizeProgram(*PA);
+  ir::normalizeProgram(*PB);
+  ASDG GA = ASDG::build(*PA), GB = ASDG::build(*PB);
+
+  // One slot, so the second program lives at the first one's address.
+  std::optional<lir::LoopProgram> Slot;
+  Slot.emplace(scalarize::scalarizeWithStrategy(GA, Strategy::C2));
+  const lir::LoopProgram *Address = &*Slot;
+  uint64_t FirstId = *Slot->identity();
+  JitRunInfo Info;
+  Engine.run(*Slot, 41, &Info);
+  ASSERT_TRUE(Info.UsedJit) << Info.FallbackReason;
+  Slot.reset();
+
+  Slot.emplace(scalarize::scalarizeWithStrategy(GB, Strategy::C2));
+  ASSERT_EQ(&*Slot, Address);
+  EXPECT_NE(*Slot->identity(), FirstId);
+  uint64_t Emitted = emissions();
+  RunResult Res = Engine.run(*Slot, 41, &Info);
+  ASSERT_TRUE(Info.UsedJit) << Info.FallbackReason;
+  EXPECT_FALSE(Info.CacheHitMemory);
+  EXPECT_EQ(emissions(), Emitted + 1);
+  std::string Why;
+  EXPECT_TRUE(resultsMatch(run(*Slot, 41), Res, 0.0, &Why)) << Why;
+}
+
+// The alfd pattern: many connection threads make the first run of one
+// cached program at once. One thread prepares; the rest wait for it.
+TEST(NativeJitTest, ConcurrentFirstRunsPrepareOnce) {
+  if (!HaveCompiler)
+    GTEST_SKIP() << "no usable system C compiler";
+  constexpr unsigned Threads = 8;
+  auto P = tp::makeTomcatvFragment();
+  auto LP = makeLoopProgram(*P, Strategy::C2F3);
+  ASSERT_EQ(scalarize::simdToleranceFor(LP), support::Tolerance::Exact);
+  RunResult Ref = run(LP, 43);
+
+  for (bool Vectorize : {false, true}) {
+    SCOPED_TRACE(tierName(Vectorize));
+    TempCacheDir Cache;
+    JitEngine Engine(tierOptions(Cache, Vectorize));
+    uint64_t Emitted = emissions(), Hashed = sourceHashes();
+    uint64_t Compiles = getStatisticValue("jit", "NumJitCompiles");
+
+    std::vector<RunResult> Results(Threads);
+    std::vector<JitRunInfo> Infos(Threads);
+    std::latch Start(Threads);
+    std::vector<std::thread> Pool;
+    for (unsigned T = 0; T < Threads; ++T)
+      Pool.emplace_back([&, T] {
+        Start.arrive_and_wait();
+        Results[T] = Engine.run(LP, 43, &Infos[T]);
+      });
+    for (std::thread &T : Pool)
+      T.join();
+
+    EXPECT_EQ(emissions(), Emitted + 1);
+    EXPECT_EQ(sourceHashes(), Hashed + 1);
+    EXPECT_EQ(getStatisticValue("jit", "NumJitCompiles"), Compiles + 1);
+    unsigned Hits = 0;
+    for (unsigned T = 0; T < Threads; ++T) {
+      ASSERT_TRUE(Infos[T].UsedJit) << Infos[T].FallbackReason;
+      Hits += Infos[T].CacheHitMemory;
+      std::string Why;
+      EXPECT_TRUE(resultsMatch(Ref, Results[T], 0.0, &Why)) << Why;
+    }
+    EXPECT_EQ(Hits, Threads - 1);
+  }
 }
 
 } // namespace

@@ -700,6 +700,34 @@ TEST_F(ServerTest, DeeplyNestedInputGetsClassifiedErrors) {
             true);
 }
 
+TEST_F(ServerTest, LongFlatChainGetsAParseError) {
+  // 250,000 terms is ~500 KB: past the fixture's 64 KiB cap, inside the
+  // default 1 MiB one, so serve it from a daemon with the default cap.
+  Srv->stop();
+  Srv->wait();
+  ServerOptions SO;
+  SO.SocketPath = Dir + "/alfd-default-cap.sock";
+  Srv = std::make_unique<Server>(std::move(SO));
+  std::string Error;
+  ASSERT_TRUE(Srv->start(&Error)) << Error;
+
+  std::string Chain = "A";
+  for (unsigned I = 1; I < 250000; ++I)
+    Chain += "+A";
+  const std::string Source =
+      "region R : [1..4];\narray A, B : R;\n[R] B := " + Chain + ";\n";
+  json::Value Parsed =
+      roundTrip(Client::makeExecute(Source, "c2", "jit", "", 7));
+  EXPECT_EQ(Parsed.getBool("ok").value_or(true), false);
+  EXPECT_EQ(Parsed.getString("error").value_or(""), "parse");
+  EXPECT_NE(Parsed.getString("message").value_or("").find("terms"),
+            std::string::npos);
+
+  // The daemon is still serving.
+  EXPECT_EQ(roundTrip(Client::makeHealth()).getBool("ok").value_or(false),
+            true);
+}
+
 TEST_F(ServerTest, OversizedProgramIsRejectedFromItsLengthPrefix) {
   int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   ASSERT_GE(Fd, 0);

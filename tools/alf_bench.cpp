@@ -236,8 +236,9 @@ Case jitWarmCase(const BenchmarkInfo &B, int64_t N) {
 }
 
 /// One jit tier (scalar or vectorizing emission) of the same loop
-/// program, warm: the engine is primed untimed, every sample is a pure
-/// cache-hit dispatch into the compiled kernel. The paired
+/// program, warm: the engine is primed untimed, which prepares the
+/// kernel (emission, hash, compile, dlopen) once, and every sample is a
+/// prepared-kernel dispatch. The paired
 /// jit.scalar.*/jit.simd.* rows are the vectorizer's speedup
 /// measurement, so the workloads are chosen reduction-heavy (float +
 /// for EP, max-times for k-NN) — loops -O2 alone will not vectorize —
@@ -272,8 +273,9 @@ Case jitTierCase(const BenchmarkInfo &B, int64_t N, bool Vectorize,
               R.SkipReason = "no nest vectorized";
             } else {
               // Time the warm dispatch against pre-allocated storage so
-              // the samples measure hash-lookup + kernel execution, not
-              // the RNG refill of multi-megabyte inputs.
+              // the samples measure the prepared-kernel lookup, argument
+              // marshalling and kernel execution, not the RNG refill of
+              // multi-megabyte inputs.
               exec::Storage Store = exec::allocateStorage(LP, BenchSeed);
               for (unsigned I = 0; I < Repeats; ++I) {
                 uint64_t T0 = nowNs();
