@@ -170,6 +170,31 @@ Storage exec::allocateStorage(const LoopProgram &LP, uint64_t Seed) {
       });
 }
 
+uint64_t exec::storageBytes(const LoopProgram &LP) {
+  const Program &P = LP.source();
+  FootprintInfo FI = FootprintInfo::compute(P);
+  uint64_t Total = 0;
+  for (const ArraySymbol *A : P.arrays()) {
+    const Region *Bounds = FI.boundsFor(A);
+    if (LP.isContracted(A) || !Bounds)
+      continue;
+    const xform::PartialPlan *Plan = LP.partialPlanFor(A);
+    Region R = Plan ? Plan->bufferRegion() : *Bounds;
+    uint64_t Bytes = A->getElemSize();
+    for (unsigned D = 0; D < R.rank(); ++D) {
+      int64_t Extent;
+      if (__builtin_sub_overflow(R.hi(D), R.lo(D), &Extent) ||
+          __builtin_add_overflow(Extent, 1, &Extent) ||
+          __builtin_mul_overflow(Bytes, static_cast<uint64_t>(Extent),
+                                 &Bytes))
+        return UINT64_MAX;
+    }
+    if (__builtin_add_overflow(Total, Bytes, &Total))
+      return UINT64_MAX;
+  }
+  return Total;
+}
+
 RunResult exec::collectResults(const LoopProgram &LP, const Storage &Store) {
   const Program &P = LP.source();
   RunResult Result;

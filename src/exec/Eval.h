@@ -93,6 +93,11 @@ void iterateNest(const lir::LoopNest &Nest, EvalContext &Ctx);
 /// rolling-buffer bounds, live-in data is seeded from \p Seed by name.
 Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
 
+/// Bytes allocateStorage would allocate for \p LP, without allocating;
+/// UINT64_MAX when the count overflows. Lets a server refuse a program
+/// before its storage exists.
+uint64_t storageBytes(const lir::LoopProgram &LP);
+
 /// Extracts the observable result (live-out arrays, program scalars).
 RunResult collectResults(const lir::LoopProgram &LP, const Storage &Store);
 

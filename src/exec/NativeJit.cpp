@@ -313,7 +313,7 @@ void JitEngine::compileAndLoad(const scalarize::CModule &Module,
     if (!Sym)
       return false;
     Out.Handle = Handle;
-    Out.Entry = reinterpret_cast<void (*)(double **, double *)>(Sym);
+    Out.Entry = reinterpret_cast<KernelEntry>(Sym);
     return true;
   };
 
@@ -416,23 +416,40 @@ void JitEngine::runOnStorage(const LoopProgram &LP, Storage &Store,
   }
   LoadedKernel *Kernel = Prep->Kernel;
 
-  // Marshal the caller-owned buffers in the module's argument order. The
-  // emitter's layouts are computed from the same footprint bounds (and
-  // partial-contraction overrides) Storage allocates with, so raw
-  // pointers line up element for element.
+  // Marshal the caller-owned buffers in the module's argument order. Each
+  // layout class's slots come from the first buffer bound to it, and the
+  // class's other buffers must have the same bounds.
   std::vector<double *> Arrays;
+  std::vector<long> Dims;
+  std::vector<const ArrayBuffer *> ClassBuf;
   if (Kernel) {
     Arrays.reserve(Module.Arrays.size());
-    for (const ArraySymbol *A : Module.Arrays) {
+    for (size_t I = 0; I < Module.Arrays.size(); ++I) {
+      const ArraySymbol *A = Module.Arrays[I];
       ArrayBuffer *Buf = Store.buffer(A);
-      if (!Buf) {
-        WhyNot = "array '" + A->getName() + "' missing from storage";
+      unsigned Class = Module.ArrayLayouts[I];
+      if (!Buf || Buf->bounds().rank() != A->getRank() ||
+          (Class < ClassBuf.size() &&
+           !(Buf->bounds() == ClassBuf[Class]->bounds()))) {
+        WhyNot = "storage of array '" + A->getName() +
+                 "' does not have the layout the kernel expects";
         Kernel = nullptr;
         break;
       }
       Arrays.push_back(Buf->data());
+      if (Class < ClassBuf.size())
+        continue;
+      ClassBuf.push_back(Buf);
+      long Origin = 0;
+      for (unsigned D = 0; D < A->getRank(); ++D) {
+        Origin += Buf->bounds().lo(D) * Buf->strides()[D];
+        if (D + 1 < A->getRank())
+          Dims.push_back(Buf->strides()[D]);
+      }
+      Dims.push_back(Origin);
     }
   }
+  Dims.insert(Dims.end(), Module.Dims.begin(), Module.Dims.end());
   if (!Kernel) {
     ++NumJitFallbacks;
     Info.FallbackReason = WhyNot;
@@ -451,7 +468,8 @@ void JitEngine::runOnStorage(const LoopProgram &LP, Storage &Store,
     obs::Span S("jit.dispatch");
     if (S.active())
       S.setBytes(Store.totalBytes());
-    Kernel->Entry(Arrays.data(), Scalars.data());
+    Kernel->Entry(Arrays.data(), Scalars.data(), Dims.data(),
+                  Module.Consts.data());
   }
 
   for (size_t I = 0; I < Module.Scalars.size(); ++I)

@@ -6,17 +6,20 @@
 ///
 /// \file
 /// Executes a scalarized LoopProgram as real machine code: the C backend
-/// emits a kernel with a fixed `_entry(double **arrays, double *scalars)`
-/// ABI, the system compiler turns it into a shared object, and the engine
-/// dlopens it and runs it against exec::Storage — so the paper's eight
-/// strategies are finally measured on hardware instead of the
-/// interpreter.
+/// emits a kernel with a fixed `_entry(arrays, scalars, dims, consts)`
+/// ABI (scalarize::CModule), the system compiler turns it into a shared
+/// object, and the engine dlopens it and runs it against exec::Storage —
+/// so the paper's eight strategies are finally measured on hardware
+/// instead of the interpreter.
 ///
 /// Kernels are cached twice: in memory (per engine, by content hash) and
 /// on disk (shared across processes and runs), keyed by a hash of the
 /// emitted source, the compiler flags and the compiler version — so a
 /// strategy sweep or the 50-seed stress harness pays each compile once,
-/// and a toolchain upgrade invalidates stale objects automatically.
+/// and a toolchain upgrade invalidates stale objects automatically. The
+/// source leaves extents, bounds, strides and constants open (they travel
+/// in dims and consts), so every program of one structure shares a
+/// kernel: a new problem size or constant set never invokes the compiler.
 /// Emission and hashing are paid once per LoopProgram state: each engine
 /// keeps the prepared kernel of every live program it has run, so a
 /// warm run neither emits nor hashes C (see JitEngine).
@@ -206,9 +209,12 @@ public:
   static bool compilerAvailable(const JitOptions &Opts = JitOptions());
 
 private:
+  using KernelEntry = void (*)(double **arrays, double *scalars,
+                               const long *dims, const double *consts);
+
   struct LoadedKernel {
     void *Handle = nullptr;
-    void (*Entry)(double **, double *) = nullptr;
+    KernelEntry Entry = nullptr;
   };
 
   /// The prepared form of one LoopProgram state: what a warm run needs.
@@ -216,7 +222,8 @@ private:
     std::weak_ptr<const uint64_t> Program; ///< LoopProgram::identity()
     scalarize::VectorizeFault Fault =      ///< emission hook it was built under
         scalarize::VectorizeFault::None;
-    scalarize::CModule Module;             ///< Source dropped once hashed
+    scalarize::CModule Module; ///< Source dropped once hashed; keeps this
+                               ///< program's dims and consts slots
     LoadedKernel *Kernel = nullptr;        ///< null: WhyNot says why
     std::string SoPath;
   };

@@ -46,6 +46,7 @@ public:
 
   const ir::ArraySymbol *symbol() const { return Sym; }
   const ir::Region &bounds() const { return Bounds; }
+  const std::vector<int64_t> &strides() const { return Strides; }
   uint64_t baseAddr() const { return BaseAddr; }
   uint64_t sizeBytes() const { return Data.size() * Sym->getElemSize(); }
 

@@ -58,8 +58,9 @@ private:
     return T;
   }
 
-  void error(const std::string &Msg) {
-    const Token &T = peek();
+  void error(const std::string &Msg) { errorAt(peek(), Msg); }
+
+  void errorAt(const Token &T, const std::string &Msg) {
     Errors.push_back(formatString("%u:%u: %s", T.Line, T.Col, Msg.c_str()));
   }
 
@@ -107,7 +108,8 @@ private:
 
   void parseRegionDecl() {
     advance(); // 'region'
-    std::string Name = peek().Text;
+    const Token NameTok = peek();
+    std::string Name = NameTok.Text;
     if (!expect(TokenKind::Ident, "region name"))
       return syncToSemi();
     if (!expect(TokenKind::Colon, "':'") ||
@@ -139,6 +141,21 @@ private:
     if (!expect(TokenKind::RBracket, "']'") ||
         !expect(TokenKind::Semi, "';'"))
       return syncToSemi();
+    // Every later size computation (storage, footprints, byte counts)
+    // is int64_t arithmetic over element counts of 8-byte doubles.
+    int64_t Bytes = 8;
+    for (size_t D = 0; D < Lo.size(); ++D) {
+      int64_t Extent;
+      if (__builtin_sub_overflow(Hi[D], Lo[D], &Extent) ||
+          __builtin_add_overflow(Extent, 1, &Extent) ||
+          __builtin_mul_overflow(Bytes, Extent, &Bytes)) {
+        // Still declared below, so its uses report nothing further.
+        errorAt(NameTok, "region " + Name +
+                             " is too large: its size in bytes overflows a "
+                             "64-bit integer");
+        break;
+      }
+    }
     if (Regions.count(Name)) {
       error("region " + Name + " already declared");
       return;

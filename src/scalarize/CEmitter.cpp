@@ -7,7 +7,10 @@
 #include "support/ErrorHandling.h"
 #include "support/StringUtil.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -66,6 +69,36 @@ class Emitter {
   std::map<unsigned, Layout> Layouts; // by array symbol id
   std::ostringstream OS;
 
+  /// The literal spelling (emitC) prints every bound, stride and source
+  /// constant as a number. The parametric spelling (the JIT module and
+  /// the oracle harness) leaves each of them open as a slot the kernel
+  /// reads from its alf_dims/alf_consts arguments, so its text depends
+  /// on the program's structure and on which of those values are equal
+  /// (equal values share a slot), never on the values themselves.
+  bool Literal;
+  /// Parametric slots. alf_dims opens with the layout classes: arrays
+  /// with equal storage bounds share one, which holds the strides of all
+  /// but the last dimension, then the origin Σ lo·stride. After them come
+  /// this program's region bounds and rolling-buffer origins, numbered by
+  /// first render (Dims). Source constants get consts slots the same way.
+  std::vector<const Layout *> Classes;
+  std::vector<size_t> ClassSlot; ///< first alf_dims slot of each class
+  std::map<unsigned, unsigned> ClassOf; // by array symbol id
+  size_t NumLayoutSlots = 0;
+  std::vector<int64_t> Dims;
+  std::vector<double> Consts;
+  std::map<const Region *, size_t> RegionSlot;
+  std::map<std::pair<unsigned, unsigned>, size_t> OriginSlot; // (id, dim)
+  std::map<uint64_t, size_t> ConstSlot; // by the value's bit pattern
+  /// The slots the node being emitted reads; emitNode copies them into
+  /// const locals at its top ("d3", "c1", splatted "vc1").
+  std::set<size_t> NodeDims, NodeConsts, NodeVecConsts;
+  /// While the innermost loop of a parametric nest renders: its
+  /// dimension, and the row offsets (every term of an index but that
+  /// dimension's) hoisted out of it as locals "r0", "r1", ...
+  int RowDim = -1;
+  std::vector<std::string> Rows;
+
   // Vectorization bookkeeping (Opts.Vectorize only).
   unsigned NumVectorized = 0;
   unsigned NumFallbacks = 0;
@@ -76,8 +109,10 @@ class Emitter {
   std::set<const ScalarSymbol *> VecAssigned;
 
 public:
-  explicit Emitter(const LoopProgram &LP, CEmitOptions Opts = CEmitOptions())
-      : LP(LP), P(LP.source()), Opts(Opts), FI(FootprintInfo::compute(P)) {
+  Emitter(const LoopProgram &LP, bool Literal,
+          CEmitOptions Opts = CEmitOptions())
+      : LP(LP), P(LP.source()), Opts(Opts), FI(FootprintInfo::compute(P)),
+        Literal(Literal) {
     for (const ArraySymbol *A : P.arrays()) {
       if (LP.isContracted(A))
         continue;
@@ -87,6 +122,18 @@ public:
       }
       if (const Region *B = FI.boundsFor(A))
         Layouts.emplace(A->getId(), Layout(*B));
+    }
+    for (const ArraySymbol *A : allocatedArrays()) {
+      const Layout &L = layoutOf(A);
+      unsigned K = 0;
+      while (K < Classes.size() && !(Classes[K]->Bounds == L.Bounds))
+        ++K;
+      if (K == Classes.size()) {
+        Classes.push_back(&L);
+        ClassSlot.push_back(NumLayoutSlots);
+        NumLayoutSlots += L.Bounds.rank();
+      }
+      ClassOf[A->getId()] = K;
     }
   }
 
@@ -121,6 +168,9 @@ public:
   /// reached the backend in a shape it cannot express. Returns "" when
   /// emission will succeed.
   std::string validate() const {
+    for (const ArraySymbol *A : allocatedArrays())
+      if (layoutOf(A).Bounds.rank() != A->getRank())
+        return "array '" + A->getName() + "' has storage of another rank";
     for (const auto &NodePtr : LP.nodes()) {
       const auto *Nest = dyn_cast<LoopNest>(NodePtr.get());
       if (!Nest)
@@ -144,34 +194,111 @@ public:
     return "";
   }
 
-  /// "A_x[(i1-(0))*18 + (i2-(1))]" for the element at loop indices +
-  /// offset. Dimensions reduced by partial contraction index their
-  /// rolling buffer modulo the window size.
-  std::string elemRef(const ArraySymbol *A, const Offset &Off) const {
+  /// The local "d7" for alf_dims[7].
+  std::string dimSlot(size_t Slot) {
+    NodeDims.insert(Slot);
+    return formatString("d%zu", Slot);
+  }
+
+  /// Bound \p D of region \p R: "5", or its alf_dims slot.
+  std::string bound(const Region *R, unsigned D, bool Hi) {
+    if (Literal)
+      return std::to_string(Hi ? R->hi(D) : R->lo(D));
+    auto [It, New] = RegionSlot.try_emplace(R, Dims.size());
+    if (New)
+      for (unsigned K = 0; K < R->rank(); ++K) {
+        Dims.push_back(R->lo(K));
+        Dims.push_back(R->hi(K));
+      }
+    return dimSlot(NumLayoutSlots + It->second + 2 * D + Hi);
+  }
+
+  /// The footprint origin a rolling buffer of \p A wraps from along \p D.
+  std::string origin(const ArraySymbol *A, unsigned D,
+                     const xform::PartialPlan &Plan) {
+    if (Literal)
+      return std::to_string(Plan.OrigLo[D]);
+    auto [It, New] = OriginSlot.try_emplace({A->getId(), D}, Dims.size());
+    if (New)
+      Dims.push_back(Plan.OrigLo[D]);
+    return dimSlot(NumLayoutSlots + It->second);
+  }
+
+  /// A source constant: its value, or the local "c2" of its alf_consts
+  /// slot. Equal values share a slot, so the text depends on which
+  /// constants are equal but not on their values: as literals, equal
+  /// constants cost one register, and a slot per expression node made
+  /// Fibro's vector tier 1.19x slower (35 live vectors for 2 values).
+  std::string constant(const ConstExpr *C) {
+    if (Literal)
+      return formatString("%.17g", C->getValue());
+    return formatString("c%zu", constSlot(C->getValue()));
+  }
+
+  size_t constSlot(double V) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &V, sizeof(Bits));
+    auto [It, New] = ConstSlot.try_emplace(Bits, Consts.size());
+    if (New)
+      Consts.push_back(V);
+    NodeConsts.insert(It->second);
+    return It->second;
+  }
+
+  /// The element of \p A at loop indices + offset. Literal spelling:
+  /// "A_x[(i1+0 - (0))*18 + (i2+1 - (1))]"; parametric: "A_x[(i1+0)*d0 +
+  /// (i2+1) - d1]" with the stride and origin slots of A's layout class,
+  /// so references to arrays of one class share their index arithmetic;
+  /// inside emitRowBlock, "A_x[r0 + (i2+1)]" with the row offset r0 =
+  /// "(i1+0)*d0 - d1" hoisted out of the innermost loop. The last
+  /// dimension is unit-stride in row-major order. Dimensions
+  /// reduced by partial contraction index their rolling buffer (whose
+  /// lower bound there is 0) modulo the window size, a literal.
+  std::string elemRef(const ArraySymbol *A, const Offset &Off) {
     const Layout &L = layoutOf(A);
+    unsigned Rank = L.Bounds.rank();
     const xform::PartialPlan *Plan = LP.partialPlanFor(A);
-    std::string Index;
-    for (unsigned D = 0; D < L.Bounds.rank(); ++D) {
+    size_t Slot = Literal ? 0 : ClassSlot[ClassOf.at(A->getId())];
+    std::string Index, Terms, InLoop;
+    for (unsigned D = 0; D < Rank; ++D) {
       std::string Coord;
       if (Plan && Plan->isReduced(D)) {
         long long E = static_cast<long long>(Plan->BufferExtents[D]);
-        Coord = formatString("(((i%u%+d - (%lld)) %% %lld + %lld) %% %lld)",
-                             D + 1, Off[D],
-                             static_cast<long long>(Plan->OrigLo[D]), E, E, E);
-      } else {
+        Coord = formatString("(((i%u%+d - (%s)) %% %lld + %lld) %% %lld)",
+                             D + 1, Off[D], origin(A, D, *Plan).c_str(), E,
+                             E, E);
+      } else if (Literal) {
         Coord = formatString("(i%u%+d - (%lld))", D + 1, Off[D],
                              static_cast<long long>(L.Bounds.lo(D)));
+      } else {
+        Coord = formatString("(i%u%+d)", D + 1, Off[D]);
       }
-      if (L.Strides[D] != 1)
-        Coord += formatString("*%lld", static_cast<long long>(L.Strides[D]));
+      if (D + 1 < Rank)
+        Coord += "*" + (Literal ? std::to_string(L.Strides[D])
+                                : dimSlot(Slot + D));
       Index += (D ? " + " : "") + Coord;
+      if (static_cast<int>(D) == RowDim)
+        InLoop = Coord;
+      else
+        Terms += (Terms.empty() ? "" : " + ") + Coord;
     }
-    return formatString("A_%s[%s]", A->getName().c_str(), Index.c_str());
+    if (Literal)
+      return formatString("A_%s[%s]", A->getName().c_str(), Index.c_str());
+    std::string Origin = dimSlot(Slot + Rank - 1);
+    if (RowDim < 0)
+      return formatString("A_%s[%s - %s]", A->getName().c_str(),
+                          Index.c_str(), Origin.c_str());
+    std::string Row = Terms.empty() ? "-" + Origin : Terms + " - " + Origin;
+    size_t K = std::find(Rows.begin(), Rows.end(), Row) - Rows.begin();
+    if (K == Rows.size())
+      Rows.push_back(Row);
+    return formatString("A_%s[r%zu + %s]", A->getName().c_str(), K,
+                        InLoop.c_str());
   }
 
-  std::string renderExpr(const Expr *E) const {
+  std::string renderExpr(const Expr *E) {
     if (const auto *C = dyn_cast<ConstExpr>(E))
-      return formatString("%.17g", C->getValue());
+      return constant(C);
     if (const auto *S = dyn_cast<ScalarRefExpr>(E)) {
       // Contracted-array scalars are locals; program scalars are in/out
       // pointer parameters.
@@ -223,12 +350,20 @@ public:
     alf_unreachable("unhandled expression kind");
   }
 
-  void emitPrelude() {
-    OS << "/* generated by ALF from program '" << P.getName() << "' */\n";
+  /// \p Libc adds the headers a main() harness needs.
+  void emitPrelude(bool Libc) {
+    // The parametric text must not name the program: equal structures
+    // from different sources share one kernel.
+    if (Literal)
+      OS << "/* generated by ALF from program '" << P.getName() << "' */\n";
+    else
+      OS << "/* generated by ALF */\n";
+    // Only the harness uses the rest of libc; every header the compiler
+    // parses adds to each kernel's compile time.
     OS << "#include <math.h>\n";
-    OS << "#include <stdint.h>\n";
-    OS << "#include <stdio.h>\n";
-    OS << "#include <stdlib.h>\n\n";
+    if (Libc)
+      OS << "#include <stdint.h>\n#include <stdio.h>\n#include <stdlib.h>\n";
+    OS << "\n";
     // Helpers matching the ALF interpreter's guarded arithmetic exactly.
     OS << "static double alf_sqrt(double v) { return sqrt(fabs(v)); }\n";
     OS << "static double alf_exp(double v) { return exp(fmin(v, 40.0)); "
@@ -305,6 +440,11 @@ public:
       OS << (First ? "" : ", ") << "double *S_" << S->getName();
       First = false;
     }
+    if (!Literal) {
+      OS << (First ? "" : ", ") << "const long *alf_dims, "
+         << "const double *alf_consts";
+      First = false;
+    }
     if (First)
       OS << "void";
     OS << ")";
@@ -323,6 +463,8 @@ public:
   }
 
   static std::string doubleLiteral(double V) {
+    if (std::isnan(V))
+      return "NAN";
     if (std::isinf(V))
       return V > 0 ? "INFINITY" : "-INFINITY";
     return formatString("%.17g", V);
@@ -381,30 +523,78 @@ public:
          << ";\n";
 
     std::string Indent = "  ";
-    for (unsigned L = 0; L < Nest.LSV.rank(); ++L) {
+    unsigned Rank = Nest.LSV.rank();
+    if (Literal || Rank == 0) {
+      for (unsigned L = 0; L < Rank; ++L) {
+        emitLoopHeader(Nest, L, Indent);
+        Indent += "  ";
+      }
+      OS << Indent << "{\n";
+      for (const ScalarStmt &S : Nest.Body)
+        emitBodyStmt(S, Indent + "  ");
+      OS << Indent << "}\n";
+      return;
+    }
+    for (unsigned L = 0; L + 1 < Rank; ++L) {
       emitLoopHeader(Nest, L, Indent);
       Indent += "  ";
     }
-    OS << Indent << "{\n";
-    for (const ScalarStmt &S : Nest.Body)
-      emitBodyStmt(S, Indent + "  ");
+    emitRowBlock(Nest, Indent, [&] {
+      emitLoopHeader(Nest, Rank - 1, Indent + "  ");
+      OS << Indent << "    {\n";
+      for (const ScalarStmt &S : Nest.Body)
+        emitBodyStmt(S, Indent + "      ");
+      OS << Indent << "    }\n";
+    });
     OS << Indent << "}\n";
+  }
+
+  /// Emits "{", a const local per row offset of \p Nest's array
+  /// references, and the code \p Emit writes for the innermost loop with
+  /// those references rendered against the locals; the caller closes
+  /// the block. Without the locals the compiler's induction-variable
+  /// pass weighs every (array, row) base on its own, which made SP's and
+  /// Simple's kernels compile 8-13% slower.
+  void emitRowBlock(const LoopNest &Nest, const std::string &Indent,
+                    const std::function<void()> &Emit) {
+    std::ostringstream Outer;
+    Outer.swap(OS);
+    RowDim = static_cast<int>(Nest.LSV.dimOf(Nest.LSV.rank() - 1));
+    Emit();
+    RowDim = -1;
+    std::string Inner = OS.str();
+    OS.swap(Outer);
+    OS << Indent << "{\n";
+    for (size_t K = 0; K < Rows.size(); ++K)
+      OS << Indent
+         << formatString("  const long r%zu = %s;\n", K, Rows[K].c_str());
+    Rows.clear();
+    OS << Inner;
+  }
+
+  /// "v, v, v, v": the initializer of a vector splat of \p V. A braced
+  /// list leaves the compiler no helper loop to inline and unroll.
+  std::string splatList(const std::string &V) const {
+    std::string List;
+    for (unsigned K = 0; K < Opts.VectorWidth; ++K)
+      List += (K ? ", " : "") + V;
+    return List;
   }
 
   /// One `for (...)` header (no body) for loop level \p L of \p Nest.
   void emitLoopHeader(const LoopNest &Nest, unsigned L,
                       const std::string &Indent) {
     unsigned Dim = Nest.LSV.dimOf(L);
-    long long Lo = Nest.R->lo(Dim), Hi = Nest.R->hi(Dim);
+    std::string Lo = bound(Nest.R, Dim, false), Hi = bound(Nest.R, Dim, true);
     if (Nest.LSV.dirOf(L) > 0)
       OS << Indent
-         << formatString("for (i%u = %lld; i%u <= %lld; ++i%u)", Dim + 1, Lo,
-                         Dim + 1, Hi, Dim + 1)
+         << formatString("for (i%u = %s; i%u <= %s; ++i%u)", Dim + 1,
+                         Lo.c_str(), Dim + 1, Hi.c_str(), Dim + 1)
          << '\n';
     else
       OS << Indent
-         << formatString("for (i%u = %lld; i%u >= %lld; --i%u)", Dim + 1, Hi,
-                         Dim + 1, Lo, Dim + 1)
+         << formatString("for (i%u = %s; i%u >= %s; --i%u)", Dim + 1,
+                         Hi.c_str(), Dim + 1, Lo.c_str(), Dim + 1)
          << '\n';
   }
 
@@ -504,7 +694,10 @@ public:
           return "array '" + A->getName() +
                  "' uses rolling-buffer modulo indexing on the vector "
                  "dimension";
-      if (L.Strides[Dim] != 1)
+      // Row-major storage is unit-stride along its last dimension only;
+      // deciding from the rank rather than the extents keeps the choice
+      // structural, as a kernel shared across extents needs.
+      if (Dim + 1 != L.Bounds.rank())
         return "array '" + A->getName() +
                "' is not unit-stride along the innermost dimension";
       SymInterval Lanes = SymInterval::ofDim(Nest.R, Dim, Off[Dim]);
@@ -528,8 +721,14 @@ public:
   }
 
   std::string renderExprVec(const Expr *E) {
-    if (const auto *C = dyn_cast<ConstExpr>(E))
-      return "alf_vd_splat(" + formatString("%.17g", C->getValue()) + ")";
+    if (const auto *C = dyn_cast<ConstExpr>(E)) {
+      // Splatted once per node (vector code is always parametric): the
+      // compiler folds a literal's splat into a constant, but rebuilds a
+      // variable's in every iteration.
+      size_t Slot = constSlot(C->getValue());
+      NodeVecConsts.insert(Slot);
+      return formatString("vc%zu", Slot);
+    }
     if (const auto *S = dyn_cast<ScalarRefExpr>(E)) {
       if (VecAssigned.count(S->getSymbol()))
         return "vt_" + S->getSymbol()->getName();
@@ -630,7 +829,7 @@ public:
   void emitNestVectorized(const LoopNest &Nest) {
     unsigned W = Opts.VectorWidth;
     unsigned Dim = Nest.LSV.dimOf(Nest.LSV.rank() - 1);
-    long long Lo = Nest.R->lo(Dim), Hi = Nest.R->hi(Dim);
+    std::string Lo = bound(Nest.R, Dim, false), Hi = bound(Nest.R, Dim, true);
 
     for (const ScalarInit &SI : Nest.ScalarInits)
       OS << "  *S_" << SI.Acc->getName() << " = " << doubleLiteral(SI.Init)
@@ -676,25 +875,41 @@ public:
       emitLoopHeader(Nest, L, Indent);
       Indent += "  ";
     }
-    OS << Indent << "{\n";
-    OS << Indent
-       << formatString("  for (i%u = %lld; i%u + %u <= %lld; i%u += %u) {\n",
-                       Dim + 1, Lo, Dim + 1, W - 1, Hi, Dim + 1, W);
-    VecAssigned.clear();
-    for (const ScalarStmt &S : Nest.Body)
-      emitBodyStmtVec(S, Indent + "    ");
-    OS << Indent << "  }\n";
-    // Peeled remainder: the exact scalar spelling continues from where
-    // the vector loop stopped (folding straight into the scalar
-    // accumulator — ⊕ commutes, and for non-exact + the whole nest is
-    // already declared reassociated).
-    OS << Indent
-       << formatString("  for (; i%u <= %lld; ++i%u)\n", Dim + 1, Hi,
-                       Dim + 1);
-    OS << Indent << "  {\n";
-    for (const ScalarStmt &S : Nest.Body)
-      emitBodyStmt(S, Indent + "    ");
-    OS << Indent << "  }\n";
+    // A row that is a whole number of vectors needs no remainder. The
+    // text says which case it is, so programs share the kernel only
+    // within a case (and the compiler, like with literal bounds, is not
+    // handed a remainder loop that never runs).
+    bool WholeVectors = Nest.R->extent(Dim) % W == 0;
+    emitRowBlock(Nest, Indent, [&] {
+      if (WholeVectors)
+        OS << Indent
+           << formatString("  for (i%u = %s; i%u <= %s; i%u += %u) { /* "
+                           "whole vectors */\n",
+                           Dim + 1, Lo.c_str(), Dim + 1, Hi.c_str(), Dim + 1,
+                           W);
+      else
+        OS << Indent
+           << formatString("  for (i%u = %s; i%u + %u <= %s; i%u += %u) {\n",
+                           Dim + 1, Lo.c_str(), Dim + 1, W - 1, Hi.c_str(),
+                           Dim + 1, W);
+      VecAssigned.clear();
+      for (const ScalarStmt &S : Nest.Body)
+        emitBodyStmtVec(S, Indent + "    ");
+      OS << Indent << "  }\n";
+      if (!WholeVectors) {
+        // Peeled remainder: the exact scalar spelling continues from where
+        // the vector loop stopped (folding straight into the scalar
+        // accumulator — ⊕ commutes, and for non-exact + the whole nest is
+        // already declared reassociated).
+        OS << Indent
+           << formatString("  for (; i%u <= %s; ++i%u)\n", Dim + 1,
+                           Hi.c_str(), Dim + 1);
+        OS << Indent << "  {\n";
+        for (const ScalarStmt &S : Nest.Body)
+          emitBodyStmt(S, Indent + "    ");
+        OS << Indent << "  }\n";
+      }
+    });
     OS << Indent << "}\n";
 
     // Horizontal reduction, lane order, with the scalar ⊕ spelling.
@@ -723,6 +938,15 @@ public:
     emitNestScalar(Nest);
   }
 
+  const std::vector<int64_t> &programDims() const { return Dims; }
+  /// The layout class of each allocated array, in allocatedArrays() order.
+  std::vector<unsigned> arrayLayouts() const {
+    std::vector<unsigned> Result;
+    for (const ArraySymbol *A : allocatedArrays())
+      Result.push_back(ClassOf.at(A->getId()));
+    return Result;
+  }
+  const std::vector<double> &consts() const { return Consts; }
   unsigned numVectorizedNests() const { return NumVectorized; }
   unsigned numVectorFallbacks() const { return NumFallbacks; }
   bool reassociated() const { return Reassociated; }
@@ -751,9 +975,9 @@ public:
     std::string Indent = "    ";
     for (unsigned D = 0; D < R->rank(); ++D) {
       OS << Indent
-         << formatString("for (i%u = %lld; i%u <= %lld; ++i%u)", D + 1,
-                         static_cast<long long>(R->lo(D)), D + 1,
-                         static_cast<long long>(R->hi(D)), D + 1)
+         << formatString("for (i%u = %s; i%u <= %s; ++i%u)", D + 1,
+                         bound(R, D, false).c_str(), D + 1,
+                         bound(R, D, true).c_str(), D + 1)
          << '\n';
       Indent += "  ";
     }
@@ -771,10 +995,21 @@ public:
     for (size_t I = 0; I < O.scalarWrites().size(); ++I)
       OS << Indent << "  acc" << I << " += v;\n";
     OS << Indent << "}\n";
-    double Scale = 1.0 / static_cast<double>(R->size());
+    // 1 / |R|, computed as exec::execOpaqueStmt does.
+    std::string Scale;
+    if (Literal) {
+      Scale = formatString("%.17g", 1.0 / static_cast<double>(R->size()));
+    } else {
+      for (unsigned D = 0; D < R->rank(); ++D)
+        Scale += formatString("%s(%s - %s + 1)", D ? " * " : "",
+                              bound(R, D, true).c_str(),
+                              bound(R, D, false).c_str());
+      Scale = "(1.0 / (double)(" + (Scale.empty() ? "1" : Scale) + "))";
+    }
     for (size_t I = 0; I < O.scalarWrites().size(); ++I)
-      OS << formatString("    *S_%s = acc%zu * %.17g;\n",
-                         O.scalarWrites()[I]->getName().c_str(), I, Scale);
+      OS << formatString("    *S_%s = acc%zu * %s;\n",
+                         O.scalarWrites()[I]->getName().c_str(), I,
+                         Scale.c_str());
     OS << "  }\n";
   }
 
@@ -793,29 +1028,54 @@ public:
       if (const ScalarSymbol *S = LP.scalarFor(A))
         OS << "  double " << S->getName() << " = 0.0;\n";
 
-    for (const auto &NodePtr : LP.nodes()) {
-      if (const auto *Nest = dyn_cast<LoopNest>(NodePtr.get())) {
-        emitNest(*Nest);
-        continue;
-      }
-      if (const auto *C = dyn_cast<CommOp>(NodePtr.get())) {
-        OS << "  /* halo exchange " << C->Array->getName() << C->Dir.str()
-           << " (single address space: no-op) */\n";
-        continue;
-      }
-      emitOpaque(*cast<OpaqueOp>(NodePtr.get())->Src);
-    }
+    for (const auto &NodePtr : LP.nodes())
+      emitNode(*NodePtr);
     OS << "}\n";
   }
 
-  /// Emits the fixed-ABI wrapper the native JIT backend dlopens:
-  /// `void <FnName>_entry(double **arrays, double *scalars)`, unpacking
-  /// the caller-owned buffers into the kernel's positional parameters
-  /// (arrays in allocatedArrays() order, scalars in programScalars()
-  /// order — the order CModule reports).
+  /// Emits one node. In the parametric spelling the slots it reads are
+  /// copied into const locals of a block around it: the compiler sees
+  /// them invariant without alias analysis, and each lives only as long
+  /// as its node (kernel-long locals made register allocation of large
+  /// kernels several times slower).
+  void emitNode(const LNode &N) {
+    std::ostringstream Outer;
+    Outer.swap(OS);
+    if (const auto *Nest = dyn_cast<LoopNest>(&N))
+      emitNest(*Nest);
+    else if (const auto *C = dyn_cast<CommOp>(&N))
+      OS << "  /* halo exchange " << C->Array->getName() << C->Dir.str()
+         << " (single address space: no-op) */\n";
+    else
+      emitOpaque(*cast<OpaqueOp>(&N)->Src);
+    std::string Body = OS.str();
+    OS.swap(Outer);
+    if (NodeDims.empty() && NodeConsts.empty()) {
+      OS << Body;
+      return;
+    }
+    OS << "  {\n";
+    for (size_t K : NodeDims)
+      OS << formatString("  const long d%zu = alf_dims[%zu];\n", K, K);
+    for (size_t K : NodeConsts)
+      OS << formatString("  const double c%zu = alf_consts[%zu];\n", K, K);
+    for (size_t K : NodeVecConsts)
+      OS << formatString("  const alf_vd vc%zu = {%s};\n", K,
+                         splatList(formatString("c%zu", K)).c_str());
+    OS << Body << "  }\n";
+    NodeDims.clear();
+    NodeConsts.clear();
+    NodeVecConsts.clear();
+  }
+
+  /// Emits the fixed-ABI wrapper the native JIT backend dlopens (see
+  /// CModule), unpacking the caller-owned buffers into the kernel's
+  /// positional parameters (arrays in allocatedArrays() order, scalars in
+  /// programScalars() order — the order CModule reports).
   void emitEntry(const std::string &FnName) {
-    OS << "\nvoid " << FnName << "_entry(double **arrays, double *scalars)"
-       << " {\n";
+    OS << "\nvoid " << FnName
+       << "_entry(double **arrays, double *scalars, const long *dims, "
+          "const double *consts) {\n";
     OS << "  " << FnName << "(";
     bool First = true;
     size_t ArrayIdx = 0;
@@ -830,7 +1090,7 @@ public:
       OS << (First ? "" : ", ") << "&scalars[" << ScalarIdx++ << "]";
       First = false;
     }
-    OS << ");\n";
+    OS << (First ? "" : ", ") << "dims, consts);\n";
     OS << "}\n";
   }
 
@@ -884,17 +1144,31 @@ static uint64_t alf_hash(const char *s) {
                          S->getName().c_str());
     }
 
+    // The slot values the JIT passes at run time (a trailing 0 keeps
+    // the initializers nonempty).
+    OS << "  static const long alf_dims[] = {";
+    for (const Layout *L : Classes) {
+      long long Origin = 0;
+      for (unsigned D = 0; D < L->Bounds.rank(); ++D) {
+        Origin += static_cast<long long>(L->Bounds.lo(D) * L->Strides[D]);
+        if (D + 1 < L->Bounds.rank())
+          OS << static_cast<long long>(L->Strides[D]) << ", ";
+      }
+      OS << Origin << ", ";
+    }
+    for (int64_t V : Dims)
+      OS << static_cast<long long>(V) << ", ";
+    OS << "0};\n  static const double alf_consts[] = {";
+    for (double V : Consts)
+      OS << doubleLiteral(V) << ", ";
+    OS << "0};\n";
+
     OS << "  " << FnName << "(";
-    bool First = true;
-    for (const ArraySymbol *A : allocatedArrays()) {
-      OS << (First ? "" : ", ") << "A_" << A->getName();
-      First = false;
-    }
-    for (const ScalarSymbol *S : programScalars()) {
-      OS << (First ? "" : ", ") << "&v_" << S->getName();
-      First = false;
-    }
-    OS << ");\n";
+    for (const ArraySymbol *A : allocatedArrays())
+      OS << "A_" << A->getName() << ", ";
+    for (const ScalarSymbol *S : programScalars())
+      OS << "&v_" << S->getName() << ", ";
+    OS << "alf_dims, alf_consts);\n";
 
     // Checksums: plain linear sums of live-out arrays, then scalars.
     for (const ArraySymbol *A : allocatedArrays()) {
@@ -922,11 +1196,11 @@ static uint64_t alf_hash(const char *s) {
 CEmitResult scalarize::emitCChecked(const LoopProgram &LP,
                                     const std::string &FnName) {
   CEmitResult Result;
-  Emitter E(LP);
+  Emitter E(LP, /*Literal=*/true);
   Result.Error = E.validate();
   if (!Result.ok())
     return Result;
-  E.emitPrelude();
+  E.emitPrelude(/*Libc=*/true);
   E.emitKernel(FnName);
   Result.Source = E.take();
   return Result;
@@ -937,11 +1211,11 @@ CEmitResult scalarize::emitCWithHarnessChecked(const LoopProgram &LP,
                                                uint64_t Seed,
                                                const CEmitOptions &Opts) {
   CEmitResult Result;
-  Emitter E(LP, Opts);
+  Emitter E(LP, /*Literal=*/false, Opts);
   Result.Error = E.validate();
   if (!Result.ok())
     return Result;
-  E.emitPrelude();
+  E.emitPrelude(/*Libc=*/true);
   E.emitKernel(FnName);
   E.emitHarness(FnName, Seed);
   Result.Source = E.take();
@@ -952,17 +1226,20 @@ CModule scalarize::emitCModule(const LoopProgram &LP,
                                const std::string &FnName,
                                const CEmitOptions &Opts) {
   CModule Module;
-  Emitter E(LP, Opts);
+  Emitter E(LP, /*Literal=*/false, Opts);
   Module.Error = E.validate();
   if (!Module.ok())
     return Module;
-  E.emitPrelude();
+  E.emitPrelude(/*Libc=*/false);
   E.emitKernel(FnName);
   E.emitEntry(FnName);
   Module.Source = E.take();
   Module.EntryName = FnName + "_entry";
   Module.Arrays = E.allocatedArrays();
   Module.Scalars = E.programScalars();
+  Module.ArrayLayouts = E.arrayLayouts();
+  Module.Dims = E.programDims();
+  Module.Consts = E.consts();
   Module.NumVectorizedNests = E.numVectorizedNests();
   Module.NumVectorFallbacks = E.numVectorFallbacks();
   Module.Reassociated = E.reassociated();

@@ -69,17 +69,30 @@ struct CEmitResult {
 /// A translation unit with a fixed-ABI entry point for dynamic loading,
 /// plus the metadata a caller needs to marshal arguments:
 ///
-///   void <FnName>_entry(double **arrays, double *scalars);
+///   void <FnName>_entry(double **arrays, double *scalars,
+///                       const long *dims, const double *consts);
 ///
-/// `arrays[i]` is the caller-owned row-major buffer of `Arrays[i]`
-/// (footprint bounds, or the rolling-buffer bounds of a partially
-/// contracted array — identical to exec::Storage's allocation).
-/// `scalars[i]` is the in/out value of `Scalars[i]`.
+/// `arrays[i]` is the caller-owned row-major buffer of `Arrays[i]`.
+/// `scalars[i]` is the in/out value of `Scalars[i]`. `dims` opens with
+/// one layout per class of arrays with equal storage bounds, in order of
+/// first use in `Arrays` (`ArrayLayouts[i]` is the class of `Arrays[i]`):
+/// the element strides of all but the last dimension, then the origin
+/// Σ lo·stride over all dimensions. `Dims` follows. `consts` holds
+/// `Consts`. The source names no extent, bound, stride or constant value,
+/// nor the program; it records only which of those values are equal. So
+/// every program of one structure emits the same text, and a kernel cache
+/// keyed by that text serves all of them from one compiled object.
 struct CModule {
   std::string Source;
   std::string EntryName;
   std::vector<const ir::ArraySymbol *> Arrays;   ///< arrays[] order
   std::vector<const ir::ScalarSymbol *> Scalars; ///< scalars[] order
+  std::vector<unsigned> ArrayLayouts; ///< layout class of each Arrays[i]
+  /// This program's region bounds and rolling-buffer origins, in the
+  /// order the kernel numbers them (dims[] after the layouts).
+  std::vector<int64_t> Dims;
+  /// This program's source constants, one per distinct value (consts[]).
+  std::vector<double> Consts;
   std::string Error;
 
   // Vectorization outcome (CEmitOptions::Vectorize only; all zero/false
@@ -91,12 +104,15 @@ struct CModule {
   bool ok() const { return Error.empty(); }
 };
 
-/// Emits the kernel function \p FnName implementing \p LP. Aborts on
-/// unsupported constructs; prefer emitCChecked where recovery matters.
+/// Emits the kernel function \p FnName implementing \p LP, with every
+/// bound, stride and constant printed as a literal (the readable form;
+/// the JIT module and the harness leave them open, see CModule). Aborts
+/// on unsupported constructs; prefer emitCChecked where recovery matters.
 std::string emitC(const lir::LoopProgram &LP, const std::string &FnName);
 
-/// Emits the kernel plus a self-contained main() harness seeded with
-/// \p Seed (matching exec::run's initialization).
+/// Emits the kernel of emitCModule plus a self-contained main() harness
+/// seeded with \p Seed (matching exec::run's initialization) that passes
+/// the kernel this program's dims and consts.
 std::string emitCWithHarness(const lir::LoopProgram &LP,
                              const std::string &FnName, uint64_t Seed);
 

@@ -2,6 +2,7 @@
 
 #include "serve/Server.h"
 
+#include "exec/Eval.h"
 #include "exec/Storage.h"
 #include "frontend/Parser.h"
 #include "obs/Obs.h"
@@ -441,6 +442,17 @@ json::Value Server::handleExecute(const json::Value &Req) {
   std::optional<bool> OK = CompileResp.getBool("ok");
   if (!OK || !*OK || !Entry || !Entry->OK)
     return CompileResp;
+
+  uint64_t Bytes = exec::storageBytes(Entry->CP->LP);
+  if (Bytes > MaxStorageBytes) {
+    NumRejectedTooLarge.fetch_add(1, std::memory_order_relaxed);
+    return makeError("too-large",
+                     "program storage of " +
+                         (Bytes == UINT64_MAX ? std::string("more than 2^64")
+                                              : std::to_string(Bytes)) +
+                         " bytes exceeds the " +
+                         std::to_string(MaxStorageBytes) + "-byte ceiling");
+  }
 
   uint64_t Seed = 0;
   if (std::optional<double> S = Req.getNumber("seed"))

@@ -24,8 +24,9 @@
 /// executes of already-cached programs proceed concurrently. A shared
 /// JitEngine backs ExecMode::NativeJit (its own single-flight keeps a
 /// kernel herd to one cc invocation). Admission control caps concurrent
-/// in-flight requests (busy error) and program bytes (too-large before
-/// any parsing, enforced by the frame cap).
+/// in-flight requests (busy error), program bytes (too-large before
+/// any parsing, enforced by the frame cap) and array storage (too-large
+/// before execution, MaxStorageBytes).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +52,12 @@
 
 namespace alf {
 namespace serve {
+
+/// The most array storage one execute request may allocate. A program
+/// whose storage (exec::storageBytes) exceeds it gets a "too-large" error
+/// before any allocation, so one request cannot exhaust the daemon's
+/// memory.
+inline constexpr uint64_t MaxStorageBytes = uint64_t(1) << 30;
 
 /// Configuration of one Server.
 struct ServerOptions {

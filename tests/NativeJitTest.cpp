@@ -687,4 +687,218 @@ TEST(NativeJitTest, ConcurrentFirstRunsPrepareOnce) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// One kernel per program shape: the emitted module leaves extents, bounds,
+// strides and constants open, so a program that differs from a loaded
+// one only in those values runs on the loaded kernel.
+//===----------------------------------------------------------------------===//
+
+enum class Shape { Stencil, RollingBuffer, Opaque };
+
+const char *shapeName(Shape S) {
+  switch (S) {
+  case Shape::Stencil:
+    return "stencil";
+  case Shape::RollingBuffer:
+    return "rolling buffer";
+  case Shape::Opaque:
+    return "opaque statement";
+  }
+  return "?";
+}
+
+/// A program of one shape at an N x N grid, with its loop program.
+struct ShapedProgram {
+  std::unique_ptr<ir::Program> P;
+  std::unique_ptr<lir::LoopProgram> LP;
+};
+
+/// \p S over [1..N, 1..N] with constants \p C1 and \p C2:
+///   Stencil:       T := A@(-1,0) * C1 + A;  B := T * C2 - A@(0,1)
+///   RollingBuffer: T := A + C1;  B := T@(-1,0) + T * C2, with T
+///                  partially contracted to a two-row rolling buffer
+///   Opaque:        B := A * C1;  an opaque statement over the grid
+///                  reading B and writing A and a scalar
+ShapedProgram makeShaped(Shape S, int64_t N, double C1 = 0.25,
+                         double C2 = 0.75) {
+  using namespace ir;
+  ShapedProgram Out;
+  Out.P = std::make_unique<Program>("shaped");
+  Program &P = *Out.P;
+  const Region *R = P.regionFromExtents({N, N});
+  ArraySymbol *A = P.makeArray("A", 2);
+  ArraySymbol *B = P.makeArray("B", 2);
+  switch (S) {
+  case Shape::Stencil: {
+    ArraySymbol *T = P.makeUserTemp("T", 2);
+    P.assign(R, T, add(mul(aref(A, {-1, 0}), cst(C1)), aref(A)));
+    P.assign(R, B, sub(mul(aref(T), cst(C2)), aref(A, {0, 1})));
+    Out.LP = std::make_unique<lir::LoopProgram>(makeLoopProgram(P));
+    break;
+  }
+  case Shape::RollingBuffer: {
+    ArraySymbol *T = P.makeUserTemp("T", 2);
+    P.assign(R, T, add(aref(A), cst(C1)));
+    P.assign(R, B, add(aref(T, {-1, 0}), mul(aref(T), cst(C2))));
+    ASDG G = ASDG::build(P);
+    Out.LP = std::make_unique<lir::LoopProgram>(
+        scalarize::scalarizeWithPartialContraction(
+            G, Strategy::C2, SequentialDims::dims({0})));
+    EXPECT_EQ(Out.LP->partialPlans().size(), 1u);
+    break;
+  }
+  case Shape::Opaque: {
+    ScalarSymbol *Sum = P.makeScalar("s");
+    P.assign(R, B, mul(aref(A), cst(C1)));
+    P.opaque("mix", R, {B}, {A}, {}, {Sum}, 1.0, false);
+    Out.LP = std::make_unique<lir::LoopProgram>(
+        makeLoopProgram(P, Strategy::Baseline));
+    break;
+  }
+  }
+  return Out;
+}
+
+uint64_t compiles() { return getStatisticValue("jit", "NumJitCompiles"); }
+
+/// Runs \p LP on \p Engine and expects a kernel already loaded: no
+/// compiler invocation, and results bit-identical to the interpreter on
+/// the same storage.
+void expectRunsWithoutCompiling(JitEngine &Engine, const lir::LoopProgram &LP,
+                                uint64_t Seed) {
+  ASSERT_EQ(scalarize::simdToleranceFor(LP), support::Tolerance::Exact);
+  uint64_t Before = compiles();
+  Storage JitStore = allocateStorage(LP, Seed);
+  Storage RefStore = allocateStorage(LP, Seed);
+  JitRunInfo Info;
+  Engine.runOnStorage(LP, JitStore, &Info);
+  exec::runOnStorage(LP, RefStore);
+  ASSERT_TRUE(Info.UsedJit) << Info.FallbackReason;
+  EXPECT_FALSE(Info.Compiled);
+  EXPECT_EQ(compiles(), Before);
+  std::string Why;
+  EXPECT_TRUE(resultsMatch(collectResults(LP, RefStore),
+                           collectResults(LP, JitStore), 0.0, &Why))
+      << Why;
+}
+
+/// Runs \p LP on \p Engine, expecting it to compile its kernel.
+void expectCompiles(JitEngine &Engine, const lir::LoopProgram &LP,
+                    uint64_t Seed) {
+  uint64_t Before = compiles();
+  JitRunInfo Info;
+  RunResult Got = Engine.run(LP, Seed, &Info);
+  ASSERT_TRUE(Info.UsedJit) << Info.FallbackReason;
+  EXPECT_TRUE(Info.Compiled);
+  EXPECT_EQ(compiles(), Before + 1);
+  std::string Why;
+  EXPECT_TRUE(resultsMatch(run(LP, Seed), Got, 0.0, &Why)) << Why;
+}
+
+// Extents are multiples of the vector width throughout: whether a
+// vectorized row is a whole number of vectors is part of the text.
+TEST(NativeJitTest, NewExtentSharesKernel) {
+  if (!HaveCompiler)
+    GTEST_SKIP() << "no usable system C compiler";
+  for (bool Vectorize : {false, true})
+    for (Shape S : {Shape::Stencil, Shape::RollingBuffer, Shape::Opaque}) {
+      SCOPED_TRACE(std::string(tierName(Vectorize)) + ", " + shapeName(S));
+      TempCacheDir Cache;
+      JitEngine Engine(tierOptions(Cache, Vectorize));
+      ShapedProgram First = makeShaped(S, 8);
+      expectCompiles(Engine, *First.LP, 51);
+      for (int64_t N : {12, 20, 64}) {
+        ShapedProgram Next = makeShaped(S, N);
+        expectRunsWithoutCompiling(Engine, *Next.LP, 51);
+      }
+    }
+}
+
+TEST(NativeJitTest, NewConstantsShareKernel) {
+  if (!HaveCompiler)
+    GTEST_SKIP() << "no usable system C compiler";
+  for (bool Vectorize : {false, true})
+    for (Shape S : {Shape::Stencil, Shape::RollingBuffer, Shape::Opaque}) {
+      SCOPED_TRACE(std::string(tierName(Vectorize)) + ", " + shapeName(S));
+      TempCacheDir Cache;
+      JitEngine Engine(tierOptions(Cache, Vectorize));
+      ShapedProgram First = makeShaped(S, 8, 0.25, 0.75);
+      expectCompiles(Engine, *First.LP, 53);
+      ShapedProgram Next = makeShaped(S, 8, -3.5, 1e-3);
+      expectRunsWithoutCompiling(Engine, *Next.LP, 53);
+      // New extent and new constants at once.
+      ShapedProgram Both = makeShaped(S, 16, 0.1, 7.0);
+      expectRunsWithoutCompiling(Engine, *Both.LP, 53);
+    }
+}
+
+TEST(NativeJitTest, DifferentStructureStillCompiles) {
+  if (!HaveCompiler)
+    GTEST_SKIP() << "no usable system C compiler";
+  for (bool Vectorize : {false, true}) {
+    SCOPED_TRACE(tierName(Vectorize));
+    TempCacheDir Cache;
+    JitEngine Engine(tierOptions(Cache, Vectorize));
+    ShapedProgram Stencil = makeShaped(Shape::Stencil, 8);
+    expectCompiles(Engine, *Stencil.LP, 55);
+    // Another shape at the same extent and constants.
+    ShapedProgram Rolling = makeShaped(Shape::RollingBuffer, 8);
+    expectCompiles(Engine, *Rolling.LP, 55);
+    // The same statements with one offset changed.
+    auto P = tp::makeFigure2(8, 8);
+    auto Q = tp::makeFigure2(8, 8);
+    // S0: A := B@(-1,0) becomes A := B@(-1,1).
+    cast<ir::NormalizedStmt>(Q->getStmt(0))
+        ->setRHS(ir::aref(Q->arrays()[1], {-1, 1}));
+    auto LPP = makeLoopProgram(*P), LPQ = makeLoopProgram(*Q);
+    expectCompiles(Engine, LPP, 55);
+    expectCompiles(Engine, LPQ, 55);
+    // Equal constants share a slot, so making two unequal ones equal
+    // changes the text.
+    ShapedProgram Equal = makeShaped(Shape::Stencil, 8, 0.5, 0.5);
+    expectCompiles(Engine, *Equal.LP, 55);
+  }
+}
+
+// The alfd pattern for never-seen sizes: threads make the first runs of
+// one structure at eight extents at once. One compiles; the rest reuse.
+TEST(NativeJitTest, ConcurrentNewExtentsCompileOnce) {
+  if (!HaveCompiler)
+    GTEST_SKIP() << "no usable system C compiler";
+  constexpr unsigned Threads = 8;
+  for (bool Vectorize : {false, true}) {
+    SCOPED_TRACE(tierName(Vectorize));
+    std::vector<ShapedProgram> Programs;
+    std::vector<RunResult> Refs;
+    for (unsigned T = 0; T < Threads; ++T) {
+      Programs.push_back(makeShaped(Shape::Stencil, 8 + 4 * T));
+      Refs.push_back(run(*Programs.back().LP, 57));
+    }
+    TempCacheDir Cache;
+    JitEngine Engine(tierOptions(Cache, Vectorize));
+    uint64_t Before = compiles();
+    std::vector<RunResult> Results(Threads);
+    std::vector<JitRunInfo> Infos(Threads);
+    std::latch Start(Threads);
+    std::vector<std::thread> Pool;
+    for (unsigned T = 0; T < Threads; ++T)
+      Pool.emplace_back([&, T] {
+        Start.arrive_and_wait();
+        Results[T] = Engine.run(*Programs[T].LP, 57, &Infos[T]);
+      });
+    for (std::thread &T : Pool)
+      T.join();
+
+    EXPECT_EQ(compiles(), Before + 1);
+    unsigned Compiled = 0;
+    for (unsigned T = 0; T < Threads; ++T) {
+      ASSERT_TRUE(Infos[T].UsedJit) << Infos[T].FallbackReason;
+      Compiled += Infos[T].Compiled;
+      std::string Why;
+      EXPECT_TRUE(resultsMatch(Refs[T], Results[T], 0.0, &Why)) << Why;
+    }
+    EXPECT_EQ(Compiled, 1u);
+  }
+}
+
 } // namespace

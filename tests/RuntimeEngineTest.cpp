@@ -284,6 +284,57 @@ TEST(RuntimeEngineTest, WarmJitFlushesCompileNothing) {
   std::filesystem::remove_all(CacheDir, EC);
 }
 
+// A grid of a new size misses the trace cache (its regions differ), so
+// the flush re-plans through the pipeline; its kernel text is the same,
+// so it runs on the kernel the first size compiled.
+TEST(RuntimeEngineTest, JacobiAtTwoGridSizesCompilesOneKernel) {
+  if (!exec::JitEngine::compilerAvailable())
+    GTEST_SKIP() << "no usable system C compiler";
+  std::string CacheDir =
+      (std::filesystem::temp_directory_path() /
+       ("alf-rt-shapes-test-" + std::to_string(getpid())))
+          .string();
+  std::filesystem::remove_all(CacheDir);
+
+  EngineOptions O;
+  O.Mode = xform::ExecMode::NativeJit;
+  O.Jit.CacheDir = CacheDir;
+  Engine E(O);
+  for (int64_t N : {16, 24}) {
+    SCOPED_TRACE("grid " + std::to_string(N));
+    const int64_t W = N + 2;
+    std::vector<double> Init(static_cast<size_t>(W * W));
+    for (size_t I = 0; I < Init.size(); ++I)
+      Init[I] = static_cast<double>((I * 37) % 101) / 101.0;
+    Array U = E.input("U" + std::to_string(N), r2(0, N + 1, 0, N + 1));
+    U.setAll(Init);
+    ir::Region In = r2(1, N, 1, N);
+    Array V = E.compute(In, (shift(U, {-1, 0}) + shift(U, {1, 0}) +
+                             shift(U, {0, -1}) + shift(U, {0, 1})) *
+                                Ex(0.25));
+    E.update(U, ir::Offset({0, 0}), In, Ex(U) + (Ex(V) - Ex(U)) * Ex(0.8));
+    E.flush();
+    ASSERT_TRUE(E.lastFlush().UsedJit);
+    EXPECT_FALSE(E.lastFlush().CacheHit);
+    EXPECT_EQ(E.lastFlush().Compiled, N == 16);
+
+    // The same step as plain loops.
+    std::vector<double> Ref = Init;
+    for (int64_t I = 1; I <= N; ++I)
+      for (int64_t J = 1; J <= N; ++J) {
+        double Avg = (Init[(I - 1) * W + J] + Init[(I + 1) * W + J] +
+                      Init[I * W + J - 1] + Init[I * W + J + 1]) *
+                     0.25;
+        Ref[I * W + J] = Init[I * W + J] + (Avg - Init[I * W + J]) * 0.8;
+      }
+    EXPECT_EQ(U.values(), Ref);
+  }
+  EXPECT_EQ(E.stats().KernelCompiles, 1u);
+
+  std::error_code EC;
+  std::filesystem::remove_all(CacheDir, EC);
+}
+
 TEST(RuntimeEngineTest, FlushNeverTruncatesMaterializedArrays) {
   Engine E;
   Array A = rampInput(E, 6);

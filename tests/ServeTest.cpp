@@ -14,6 +14,7 @@
 #include "serve/Server.h"
 
 #include "driver/Pipeline.h"
+#include "exec/Interpreter.h"
 #include "exec/NativeJit.h"
 #include "frontend/Parser.h"
 #include "obs/Obs.h"
@@ -771,6 +772,109 @@ TEST_F(ServerTest, ConcurrentIdenticalCompilesSingleFlight) {
   }
   EXPECT_EQ(Misses, 1u);
   EXPECT_EQ(Served, NumThreads - 1);
+}
+
+TEST_F(ServerTest, OversizedStorageIsRefusedAndTheDaemonStaysUp) {
+  // The element count of this region, times 8 bytes, overflows int64_t:
+  // a positioned parse error, not an allocation that throws.
+  json::Value Overflow = roundTrip(Client::makeExecute(R"(
+region R : [1..4000000000, 1..4000000000];
+array A, B : R;
+[R] B := A + 1;
+)", "c2", "", "", 7));
+  EXPECT_EQ(Overflow.getBool("ok").value_or(true), false);
+  EXPECT_EQ(Overflow.getString("error").value_or(""), "parse");
+  EXPECT_NE(Overflow.getString("message").value_or("").find("2:8:"),
+            std::string::npos)
+      << Overflow.str();
+
+  // 80 GB of storage is representable but past MaxStorageBytes.
+  json::Value Big = roundTrip(Client::makeExecute(R"(
+region R : [1..100000, 1..100000];
+array A, B : R;
+[R] B := A@(1,0) + 1;
+)", "c2", "jit", "", 7));
+  EXPECT_EQ(Big.getBool("ok").value_or(true), false);
+  EXPECT_EQ(Big.getString("error").value_or(""), "too-large") << Big.str();
+
+  EXPECT_EQ(roundTrip(Client::makeHealth()).getBool("ok").value_or(false),
+            true);
+}
+
+/// The ServerSource stencil at an n x n grid with constants \p C1, \p C2.
+std::string stencilSource(int N, const char *C1, const char *C2) {
+  return "region R : [1.." + std::to_string(N) + ", 1.." +
+         std::to_string(N) +
+         "];\narray U, V : R;\narray T : R temp;\nscalar s;\n"
+         "[R] T := (U@(-1,0) + U@(1,0) + U@(0,-1) + U@(0,1)) * " +
+         C1 + " - U;\n[R] V := U + T * " + C2 +
+         ";\n[R] s := + << abs(T);\n";
+}
+
+/// Expects \p Resp to be a native execute reply equal, bit for bit, to
+/// the interpreter running \p Source on \p Seed.
+void expectMatchesInterpreter(const json::Value &Resp,
+                              const std::string &Source, uint64_t Seed) {
+  ASSERT_EQ(Resp.getBool("ok").value_or(false), true) << Resp.str();
+  frontend::ParseResult PR = frontend::parseProgram(Source);
+  ASSERT_TRUE(PR.succeeded());
+  driver::Pipeline PL(*PR.Prog);
+  driver::CompileRequest Req;
+  Req.Strat = xform::Strategy::C2;
+  driver::CompileStatus St = PL.tryCompile(Req);
+  ASSERT_TRUE(St.ok()) << St.Message;
+  exec::RunResult Ref = exec::run(St.Artifact->LP, Seed);
+  const json::Value *Scalars = Resp.get("scalars");
+  const json::Value *Arrays = Resp.get("arrays");
+  ASSERT_TRUE(Scalars && Arrays);
+  for (const auto &[Name, V] : Ref.ScalarsOut)
+    EXPECT_EQ(Scalars->getNumber(Name).value_or(-1), V) << Name;
+  for (const auto &[Name, Data] : Ref.LiveOut) {
+    double Sum = 0.0;
+    for (double D : Data)
+      Sum += D;
+    const json::Value *A = Arrays->get(Name);
+    ASSERT_NE(A, nullptr) << Name;
+    EXPECT_EQ(A->getNumber("sum").value_or(-1), Sum) << Name;
+  }
+}
+
+// A never-seen extent or constant set of a cached structure is parsed
+// and compiled through the pipeline, but runs on the loaded kernel.
+TEST_F(ServerTest, NewExtentsAndConstantsRunWithoutCompiling) {
+  if (!exec::JitEngine::compilerAvailable())
+    GTEST_SKIP() << "no system C compiler";
+  // A daemon with its own kernel cache, so the first request compiles.
+  Srv->stop();
+  Srv->wait();
+  ServerOptions SO;
+  SO.SocketPath = Dir + "/alfd-private-cache.sock";
+  SO.Jit.CacheDir = Dir + "/kernels";
+  Srv = std::make_unique<Server>(std::move(SO));
+  std::string Error;
+  ASSERT_TRUE(Srv->start(&Error)) << Error;
+
+  auto Jit = [](const json::Value &Resp, const char *Key) {
+    const json::Value *J = Resp.get("jit");
+    return J && J->getBool(Key).value_or(false);
+  };
+  std::string First = stencilSource(12, "0.25", "0.8");
+  json::Value Cold = roundTrip(Client::makeExecute(First, "c2", "jit", "", 7));
+  expectMatchesInterpreter(Cold, First, 7);
+  EXPECT_TRUE(Jit(Cold, "used_jit"));
+  EXPECT_TRUE(Jit(Cold, "compiled"));
+
+  for (const std::string &Next :
+       {stencilSource(17, "0.25", "0.8"), stencilSource(12, "0.3", "0.7"),
+        stencilSource(9, "0.125", "0.5")}) {
+    SCOPED_TRACE(Next);
+    json::Value Resp =
+        roundTrip(Client::makeExecute(Next, "c2", "jit", "", 7));
+    expectMatchesInterpreter(Resp, Next, 7);
+    EXPECT_EQ(Resp.getString("cache").value_or(""), "miss");
+    EXPECT_TRUE(Jit(Resp, "used_jit"));
+    EXPECT_FALSE(Jit(Resp, "compiled"));
+  }
 }
 
 TEST_F(ServerTest, ShutdownOpStopsTheDaemon) {

@@ -230,6 +230,58 @@ TEST_P(StressSweepTest, NativeJitAgrees) {
       << "verification findings:\n" << Collected.str() << P->str();
 }
 
+// A mixed-shape stream through one JIT engine with a private kernel
+// cache: every seed's program at three extents, each run bit-identical
+// to the interpreter. The emitted C leaves extents, bounds and strides
+// open, so for programs over one region the later extents run on the
+// kernel the first one compiled. (Two-region programs can change which
+// of their bounds are equal as the extent grows, which is part of the
+// text, so they are checked for results only.)
+TEST(StressSweepMixedShapeTest, NewExtentsReuseKernels) {
+  if (!JitEngine::compilerAvailable())
+    GTEST_SKIP() << "no usable system C compiler";
+  std::string Dir = (std::filesystem::temp_directory_path() /
+                     ("alf-sweep-shapes-" + std::to_string(getpid())))
+                        .string();
+  JitOptions Opts;
+  Opts.CacheDir = Dir;
+  unsigned SharedSeeds = 0;
+  {
+    JitEngine Engine(Opts);
+    for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
+      GeneratorConfig Cfg = sweepConfig(Seed);
+      const int64_t BaseExtent = Cfg.Extent;
+      uint64_t RunSeed = Seed ^ 0x5a9e;
+      for (int64_t Grow : {0, 3, 8}) {
+        Cfg.Extent = BaseExtent + Grow;
+        auto P = generateRandomProgram(Cfg);
+        verify::VerifyReport Collected;
+        driver::Pipeline PL(*P, fullVerifyOptions(Collected));
+        auto LP = PL.scalarize(Strategy::C2F3);
+        uint64_t Before = getStatisticValue("jit", "NumJitCompiles");
+        JitRunInfo Info;
+        RunResult JitRes = Engine.run(LP, RunSeed, &Info);
+        ASSERT_TRUE(Info.UsedJit)
+            << "fell back to the interpreter: " << Info.FallbackReason
+            << "\n" << P->str();
+        std::string Why;
+        ASSERT_TRUE(resultsMatch(run(LP, RunSeed), JitRes, 0.0, &Why))
+            << "extent " << Cfg.Extent << ": jit diverged: " << Why << "\n"
+            << P->str();
+        if (Grow != 0 && !Cfg.UseTwoRegions)
+          EXPECT_EQ(getStatisticValue("jit", "NumJitCompiles"), Before)
+              << "seed " << Seed << " compiled again at extent "
+              << Cfg.Extent << "\n" << P->str();
+        EXPECT_TRUE(Collected.ok()) << Collected.str() << P->str();
+      }
+      SharedSeeds += !Cfg.UseTwoRegions;
+    }
+  }
+  std::error_code EC;
+  std::filesystem::remove_all(Dir, EC);
+  EXPECT_GT(SharedSeeds, 0u);
+}
+
 /// ULP-aware counterpart of exec::resultsMatch for the vectorizing
 /// backend: every live-out element and output scalar must agree with the
 /// oracle under the declared tolerance (support::agreeWithin). \p MaxSeen

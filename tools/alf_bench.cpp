@@ -235,6 +235,53 @@ Case jitWarmCase(const BenchmarkInfo &B, int64_t N) {
           }};
 }
 
+/// Native JIT, new extent: one shared engine, primed untimed at \p N;
+/// every sample runs a fresh LoopProgram of the same benchmark at an
+/// extent not seen before. The kernel text leaves extents open, so a
+/// sample pays emission and hashing, then reuses the loaded kernel: the
+/// row sits between .cold (compiler) and .warm (prepared dispatch).
+Case jitNewExtentCase(const BenchmarkInfo &B, int64_t N) {
+  std::string Name = "jit." + lowerName(B.Name) + ".newextent";
+  return {Name, [&B, N](unsigned Repeats) {
+            CaseResult R;
+            if (!JitEngine::compilerAvailable()) {
+              R.Skipped = true;
+              R.SkipReason = "no system C compiler";
+              return R;
+            }
+            std::string Dir = formatString("/tmp/alf_bench_newextent_%d",
+                                           getpid());
+            JitOptions JO;
+            JO.CacheDir = Dir;
+            JitEngine Jit(JO);
+            auto Prime = B.Build(N);
+            driver::Pipeline PrimePL(*Prime, benchPipelineOptions());
+            JitRunInfo Info;
+            Jit.run(PrimePL.scalarize(Strategy::C2F3), BenchSeed, &Info);
+            for (unsigned I = 0; I < Repeats && Info.UsedJit; ++I) {
+              auto P = B.Build(N + 1 + static_cast<int64_t>(I));
+              driver::Pipeline PL(*P, benchPipelineOptions());
+              lir::LoopProgram LP = PL.scalarize(Strategy::C2F3);
+              uint64_t T0 = nowNs();
+              RunResult Res = Jit.run(LP, BenchSeed, &Info);
+              R.Ns.push_back(nowNs() - T0);
+              R.Checksum = checksum(Res);
+              if (Info.Compiled)
+                break;
+            }
+            if (!Info.UsedJit) {
+              R.Skipped = true;
+              R.SkipReason = "jit fell back: " + Info.FallbackReason;
+            } else if (Info.Compiled) {
+              R.Skipped = true;
+              R.SkipReason = "a new extent compiled its own kernel";
+            }
+            std::error_code EC;
+            std::filesystem::remove_all(Dir, EC);
+            return R;
+          }};
+}
+
 /// One jit tier (scalar or vectorizing emission) of the same loop
 /// program, warm: the engine is primed untimed, which prepares the
 /// kernel (emission, hash, compile, dlopen) once, and every sample is a
@@ -479,6 +526,10 @@ std::vector<Case> buildSuite(bool Reduced) {
     Suite.push_back(jitTierCase(Tom, TomN, /*Vectorize=*/false, "tomcatv"));
     Suite.push_back(jitTierCase(Tom, TomN, /*Vectorize=*/true, "tomcatv"));
   }
+
+  // The third row of the JIT compile-vs-dispatch split (jit.*.cold and
+  // jit.*.warm above; appended last per the pinned-suite contract).
+  Suite.push_back(jitNewExtentCase(Tomcatv, N));
   return Suite;
 }
 
