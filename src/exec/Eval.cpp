@@ -162,12 +162,8 @@ Storage exec::allocateStorage(const LoopProgram &LP, uint64_t Seed) {
   FootprintInfo FI = FootprintInfo::compute(P);
   return Storage::allocate(
       P, FI, Seed,
-      [&LP](const ArraySymbol *A) { return !LP.isContracted(A); },
-      [&LP](const ArraySymbol *A) -> std::optional<Region> {
-        if (const xform::PartialPlan *Plan = LP.partialPlanFor(A))
-          return Plan->bufferRegion();
-        return std::nullopt;
-      });
+      [&](const ArraySymbol *A) { return LP.storageRegion(A, FI).has_value(); },
+      [&](const ArraySymbol *A) { return LP.storageRegion(A, FI); });
 }
 
 uint64_t exec::storageBytes(const LoopProgram &LP) {
@@ -175,15 +171,13 @@ uint64_t exec::storageBytes(const LoopProgram &LP) {
   FootprintInfo FI = FootprintInfo::compute(P);
   uint64_t Total = 0;
   for (const ArraySymbol *A : P.arrays()) {
-    const Region *Bounds = FI.boundsFor(A);
-    if (LP.isContracted(A) || !Bounds)
+    std::optional<Region> R = LP.storageRegion(A, FI);
+    if (!R)
       continue;
-    const xform::PartialPlan *Plan = LP.partialPlanFor(A);
-    Region R = Plan ? Plan->bufferRegion() : *Bounds;
     uint64_t Bytes = A->getElemSize();
-    for (unsigned D = 0; D < R.rank(); ++D) {
+    for (unsigned D = 0; D < R->rank(); ++D) {
       int64_t Extent;
-      if (__builtin_sub_overflow(R.hi(D), R.lo(D), &Extent) ||
+      if (__builtin_sub_overflow(R->hi(D), R->lo(D), &Extent) ||
           __builtin_add_overflow(Extent, 1, &Extent) ||
           __builtin_mul_overflow(Bytes, static_cast<uint64_t>(Extent),
                                  &Bytes))

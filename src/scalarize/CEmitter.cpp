@@ -12,6 +12,7 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -69,18 +70,15 @@ class Emitter {
   std::map<unsigned, Layout> Layouts; // by array symbol id
   std::ostringstream OS;
 
-  /// The literal spelling (emitC) prints every bound, stride and source
-  /// constant as a number. The parametric spelling (the JIT module and
-  /// the oracle harness) leaves each of them open as a slot the kernel
-  /// reads from its alf_dims/alf_consts arguments, so its text depends
-  /// on the program's structure and on which of those values are equal
-  /// (equal values share a slot), never on the values themselves.
-  bool Literal;
-  /// Parametric slots. alf_dims opens with the layout classes: arrays
-  /// with equal storage bounds share one, which holds the strides of all
-  /// but the last dimension, then the origin Σ lo·stride. After them come
-  /// this program's region bounds and rolling-buffer origins, numbered by
-  /// first render (Dims). Source constants get consts slots the same way.
+  /// Every bound, stride and source constant is a slot the kernel reads
+  /// from its alf_dims/alf_consts arguments, so the text depends on the
+  /// program's structure and on which of those values are equal (equal
+  /// values share a slot), never on the values themselves. alf_dims opens
+  /// with the layout classes: arrays with equal storage bounds share one,
+  /// which holds the strides of all but the last dimension, then the
+  /// origin Σ lo·stride. After them come this program's region bounds and
+  /// rolling-buffer origins, numbered by first render (Dims). Source
+  /// constants get consts slots the same way.
   std::vector<const Layout *> Classes;
   std::vector<size_t> ClassSlot; ///< first alf_dims slot of each class
   std::map<unsigned, unsigned> ClassOf; // by array symbol id
@@ -93,7 +91,7 @@ class Emitter {
   /// The slots the node being emitted reads; emitNode copies them into
   /// const locals at its top ("d3", "c1", splatted "vc1").
   std::set<size_t> NodeDims, NodeConsts, NodeVecConsts;
-  /// While the innermost loop of a parametric nest renders: its
+  /// While the innermost loop of a nest renders: its
   /// dimension, and the row offsets (every term of an index but that
   /// dimension's) hoisted out of it as locals "r0", "r1", ...
   int RowDim = -1;
@@ -109,20 +107,11 @@ class Emitter {
   std::set<const ScalarSymbol *> VecAssigned;
 
 public:
-  Emitter(const LoopProgram &LP, bool Literal,
-          CEmitOptions Opts = CEmitOptions())
-      : LP(LP), P(LP.source()), Opts(Opts), FI(FootprintInfo::compute(P)),
-        Literal(Literal) {
-    for (const ArraySymbol *A : P.arrays()) {
-      if (LP.isContracted(A))
-        continue;
-      if (const xform::PartialPlan *Plan = LP.partialPlanFor(A)) {
-        Layouts.emplace(A->getId(), Layout(Plan->bufferRegion()));
-        continue;
-      }
-      if (const Region *B = FI.boundsFor(A))
+  explicit Emitter(const LoopProgram &LP, CEmitOptions Opts = CEmitOptions())
+      : LP(LP), P(LP.source()), Opts(Opts), FI(FootprintInfo::compute(P)) {
+    for (const ArraySymbol *A : P.arrays())
+      if (std::optional<Region> B = LP.storageRegion(A, FI))
         Layouts.emplace(A->getId(), Layout(*B));
-    }
     for (const ArraySymbol *A : allocatedArrays()) {
       const Layout &L = layoutOf(A);
       unsigned K = 0;
@@ -200,10 +189,8 @@ public:
     return formatString("d%zu", Slot);
   }
 
-  /// Bound \p D of region \p R: "5", or its alf_dims slot.
+  /// Bound \p D of region \p R: the local of its alf_dims slot.
   std::string bound(const Region *R, unsigned D, bool Hi) {
-    if (Literal)
-      return std::to_string(Hi ? R->hi(D) : R->lo(D));
     auto [It, New] = RegionSlot.try_emplace(R, Dims.size());
     if (New)
       for (unsigned K = 0; K < R->rank(); ++K) {
@@ -216,22 +203,18 @@ public:
   /// The footprint origin a rolling buffer of \p A wraps from along \p D.
   std::string origin(const ArraySymbol *A, unsigned D,
                      const xform::PartialPlan &Plan) {
-    if (Literal)
-      return std::to_string(Plan.OrigLo[D]);
     auto [It, New] = OriginSlot.try_emplace({A->getId(), D}, Dims.size());
     if (New)
       Dims.push_back(Plan.OrigLo[D]);
     return dimSlot(NumLayoutSlots + It->second);
   }
 
-  /// A source constant: its value, or the local "c2" of its alf_consts
-  /// slot. Equal values share a slot, so the text depends on which
-  /// constants are equal but not on their values: as literals, equal
-  /// constants cost one register, and a slot per expression node made
-  /// Fibro's vector tier 1.19x slower (35 live vectors for 2 values).
+  /// A source constant: the local "c2" of its alf_consts slot. Equal
+  /// values share a slot, so the text depends on which constants are
+  /// equal but not on their values: as literals, equal constants cost
+  /// one register, and a slot per expression node made Fibro's vector
+  /// tier 1.19x slower (35 live vectors for 2 values).
   std::string constant(const ConstExpr *C) {
-    if (Literal)
-      return formatString("%.17g", C->getValue());
     return formatString("c%zu", constSlot(C->getValue()));
   }
 
@@ -245,8 +228,7 @@ public:
     return It->second;
   }
 
-  /// The element of \p A at loop indices + offset. Literal spelling:
-  /// "A_x[(i1+0 - (0))*18 + (i2+1 - (1))]"; parametric: "A_x[(i1+0)*d0 +
+  /// The element of \p A at loop indices + offset: "A_x[(i1+0)*d0 +
   /// (i2+1) - d1]" with the stride and origin slots of A's layout class,
   /// so references to arrays of one class share their index arithmetic;
   /// inside emitRowBlock, "A_x[r0 + (i2+1)]" with the row offset r0 =
@@ -258,7 +240,7 @@ public:
     const Layout &L = layoutOf(A);
     unsigned Rank = L.Bounds.rank();
     const xform::PartialPlan *Plan = LP.partialPlanFor(A);
-    size_t Slot = Literal ? 0 : ClassSlot[ClassOf.at(A->getId())];
+    size_t Slot = ClassSlot[ClassOf.at(A->getId())];
     std::string Index, Terms, InLoop;
     for (unsigned D = 0; D < Rank; ++D) {
       std::string Coord;
@@ -267,23 +249,17 @@ public:
         Coord = formatString("(((i%u%+d - (%s)) %% %lld + %lld) %% %lld)",
                              D + 1, Off[D], origin(A, D, *Plan).c_str(), E,
                              E, E);
-      } else if (Literal) {
-        Coord = formatString("(i%u%+d - (%lld))", D + 1, Off[D],
-                             static_cast<long long>(L.Bounds.lo(D)));
       } else {
         Coord = formatString("(i%u%+d)", D + 1, Off[D]);
       }
       if (D + 1 < Rank)
-        Coord += "*" + (Literal ? std::to_string(L.Strides[D])
-                                : dimSlot(Slot + D));
+        Coord += "*" + dimSlot(Slot + D);
       Index += (D ? " + " : "") + Coord;
       if (static_cast<int>(D) == RowDim)
         InLoop = Coord;
       else
         Terms += (Terms.empty() ? "" : " + ") + Coord;
     }
-    if (Literal)
-      return formatString("A_%s[%s]", A->getName().c_str(), Index.c_str());
     std::string Origin = dimSlot(Slot + Rank - 1);
     if (RowDim < 0)
       return formatString("A_%s[%s - %s]", A->getName().c_str(),
@@ -352,12 +328,9 @@ public:
 
   /// \p Libc adds the headers a main() harness needs.
   void emitPrelude(bool Libc) {
-    // The parametric text must not name the program: equal structures
-    // from different sources share one kernel.
-    if (Literal)
-      OS << "/* generated by ALF from program '" << P.getName() << "' */\n";
-    else
-      OS << "/* generated by ALF */\n";
+    // The text must not name the program: equal structures from
+    // different sources share one kernel.
+    OS << "/* generated by ALF */\n";
     // Only the harness uses the rest of libc; every header the compiler
     // parses adds to each kernel's compile time.
     OS << "#include <math.h>\n";
@@ -440,14 +413,8 @@ public:
       OS << (First ? "" : ", ") << "double *S_" << S->getName();
       First = false;
     }
-    if (!Literal) {
-      OS << (First ? "" : ", ") << "const long *alf_dims, "
-         << "const double *alf_consts";
-      First = false;
-    }
-    if (First)
-      OS << "void";
-    OS << ")";
+    OS << (First ? "" : ", ")
+       << "const long *alf_dims, const double *alf_consts)";
   }
 
   unsigned maxRank() const {
@@ -524,11 +491,7 @@ public:
 
     std::string Indent = "  ";
     unsigned Rank = Nest.LSV.rank();
-    if (Literal || Rank == 0) {
-      for (unsigned L = 0; L < Rank; ++L) {
-        emitLoopHeader(Nest, L, Indent);
-        Indent += "  ";
-      }
+    if (Rank == 0) {
       OS << Indent << "{\n";
       for (const ScalarStmt &S : Nest.Body)
         emitBodyStmt(S, Indent + "  ");
@@ -875,10 +838,13 @@ public:
       emitLoopHeader(Nest, L, Indent);
       Indent += "  ";
     }
-    // A row that is a whole number of vectors needs no remainder. The
-    // text says which case it is, so programs share the kernel only
-    // within a case (and the compiler, like with literal bounds, is not
-    // handed a remainder loop that never runs).
+    // A row that is a whole number of vectors gets no remainder loop.
+    // The remainder repeats the whole body in scalar form, and with
+    // parametric bounds the compiler can no longer delete it when it never
+    // runs: emitting it for every nest made the 14 steady-run modules
+    // compile 16% slower (SP's vector tier 1.6x) with no runtime change.
+    // The text records which case applies, so a vector-tier structure
+    // compiles at most one kernel per case.
     bool WholeVectors = Nest.R->extent(Dim) % W == 0;
     emitRowBlock(Nest, Indent, [&] {
       if (WholeVectors)
@@ -896,19 +862,19 @@ public:
       for (const ScalarStmt &S : Nest.Body)
         emitBodyStmtVec(S, Indent + "    ");
       OS << Indent << "  }\n";
-      if (!WholeVectors) {
-        // Peeled remainder: the exact scalar spelling continues from where
-        // the vector loop stopped (folding straight into the scalar
-        // accumulator — ⊕ commutes, and for non-exact + the whole nest is
-        // already declared reassociated).
-        OS << Indent
-           << formatString("  for (; i%u <= %s; ++i%u)\n", Dim + 1,
-                           Hi.c_str(), Dim + 1);
-        OS << Indent << "  {\n";
-        for (const ScalarStmt &S : Nest.Body)
-          emitBodyStmt(S, Indent + "    ");
-        OS << Indent << "  }\n";
-      }
+      if (WholeVectors)
+        return;
+      // Peeled remainder: the exact scalar spelling continues from where
+      // the vector loop stopped (folding straight into the scalar
+      // accumulator — ⊕ commutes, and for non-exact + the whole nest is
+      // already declared reassociated).
+      OS << Indent
+         << formatString("  for (; i%u <= %s; ++i%u)\n", Dim + 1, Hi.c_str(),
+                         Dim + 1);
+      OS << Indent << "  {\n";
+      for (const ScalarStmt &S : Nest.Body)
+        emitBodyStmt(S, Indent + "    ");
+      OS << Indent << "  }\n";
     });
     OS << Indent << "}\n";
 
@@ -997,15 +963,11 @@ public:
     OS << Indent << "}\n";
     // 1 / |R|, computed as exec::execOpaqueStmt does.
     std::string Scale;
-    if (Literal) {
-      Scale = formatString("%.17g", 1.0 / static_cast<double>(R->size()));
-    } else {
-      for (unsigned D = 0; D < R->rank(); ++D)
-        Scale += formatString("%s(%s - %s + 1)", D ? " * " : "",
-                              bound(R, D, true).c_str(),
-                              bound(R, D, false).c_str());
-      Scale = "(1.0 / (double)(" + (Scale.empty() ? "1" : Scale) + "))";
-    }
+    for (unsigned D = 0; D < R->rank(); ++D)
+      Scale += formatString("%s(%s - %s + 1)", D ? " * " : "",
+                            bound(R, D, true).c_str(),
+                            bound(R, D, false).c_str());
+    Scale = "(1.0 / (double)(" + (Scale.empty() ? "1" : Scale) + "))";
     for (size_t I = 0; I < O.scalarWrites().size(); ++I)
       OS << formatString("    *S_%s = acc%zu * %s;\n",
                          O.scalarWrites()[I]->getName().c_str(), I,
@@ -1033,11 +995,10 @@ public:
     OS << "}\n";
   }
 
-  /// Emits one node. In the parametric spelling the slots it reads are
-  /// copied into const locals of a block around it: the compiler sees
-  /// them invariant without alias analysis, and each lives only as long
-  /// as its node (kernel-long locals made register allocation of large
-  /// kernels several times slower).
+  /// Emits one node. The slots it reads are copied into const locals of a
+  /// block around it: the compiler sees them invariant without alias
+  /// analysis, and each lives only as long as its node (kernel-long locals
+  /// made register allocation of large kernels several times slower).
   void emitNode(const LNode &N) {
     std::ostringstream Outer;
     Outer.swap(OS);
@@ -1094,6 +1055,14 @@ public:
     OS << "}\n";
   }
 
+  /// For readers of emitC: the slot values of this program, as a comment.
+  void emitSlotComment(const std::string &FnName) {
+    OS << "\n/* This program runs as " << FnName
+       << "(<arrays>, <scalars>, alf_dims, alf_consts) with\n";
+    emitSlotValues();
+    OS << "*/\n";
+  }
+
   void emitHarness(const std::string &FnName, uint64_t Seed) {
     // SplitMix64 + FNV-1a, bit-identical to support/Random.h and
     // exec::hashName.
@@ -1144,25 +1113,7 @@ static uint64_t alf_hash(const char *s) {
                          S->getName().c_str());
     }
 
-    // The slot values the JIT passes at run time (a trailing 0 keeps
-    // the initializers nonempty).
-    OS << "  static const long alf_dims[] = {";
-    for (const Layout *L : Classes) {
-      long long Origin = 0;
-      for (unsigned D = 0; D < L->Bounds.rank(); ++D) {
-        Origin += static_cast<long long>(L->Bounds.lo(D) * L->Strides[D]);
-        if (D + 1 < L->Bounds.rank())
-          OS << static_cast<long long>(L->Strides[D]) << ", ";
-      }
-      OS << Origin << ", ";
-    }
-    for (int64_t V : Dims)
-      OS << static_cast<long long>(V) << ", ";
-    OS << "0};\n  static const double alf_consts[] = {";
-    for (double V : Consts)
-      OS << doubleLiteral(V) << ", ";
-    OS << "0};\n";
-
+    emitSlotValues();
     OS << "  " << FnName << "(";
     for (const ArraySymbol *A : allocatedArrays())
       OS << "A_" << A->getName() << ", ";
@@ -1188,6 +1139,27 @@ static uint64_t alf_hash(const char *s) {
     OS << "  return 0;\n}\n";
   }
 
+  /// Declares this program's slot values, as the JIT passes them at run
+  /// time (a trailing 0 keeps the initializers nonempty).
+  void emitSlotValues() {
+    OS << "  static const long alf_dims[] = {";
+    for (const Layout *L : Classes) {
+      long long Origin = 0;
+      for (unsigned D = 0; D < L->Bounds.rank(); ++D) {
+        Origin += static_cast<long long>(L->Bounds.lo(D) * L->Strides[D]);
+        if (D + 1 < L->Bounds.rank())
+          OS << static_cast<long long>(L->Strides[D]) << ", ";
+      }
+      OS << Origin << ", ";
+    }
+    for (int64_t V : Dims)
+      OS << static_cast<long long>(V) << ", ";
+    OS << "0};\n  static const double alf_consts[] = {";
+    for (double V : Consts)
+      OS << doubleLiteral(V) << ", ";
+    OS << "0};\n";
+  }
+
   std::string take() { return OS.str(); }
 };
 
@@ -1196,12 +1168,13 @@ static uint64_t alf_hash(const char *s) {
 CEmitResult scalarize::emitCChecked(const LoopProgram &LP,
                                     const std::string &FnName) {
   CEmitResult Result;
-  Emitter E(LP, /*Literal=*/true);
+  Emitter E(LP);
   Result.Error = E.validate();
   if (!Result.ok())
     return Result;
-  E.emitPrelude(/*Libc=*/true);
+  E.emitPrelude(/*Libc=*/false);
   E.emitKernel(FnName);
+  E.emitSlotComment(FnName);
   Result.Source = E.take();
   return Result;
 }
@@ -1211,7 +1184,7 @@ CEmitResult scalarize::emitCWithHarnessChecked(const LoopProgram &LP,
                                                uint64_t Seed,
                                                const CEmitOptions &Opts) {
   CEmitResult Result;
-  Emitter E(LP, /*Literal=*/false, Opts);
+  Emitter E(LP, Opts);
   Result.Error = E.validate();
   if (!Result.ok())
     return Result;
@@ -1226,7 +1199,7 @@ CModule scalarize::emitCModule(const LoopProgram &LP,
                                const std::string &FnName,
                                const CEmitOptions &Opts) {
   CModule Module;
-  Emitter E(LP, /*Literal=*/false, Opts);
+  Emitter E(LP, Opts);
   Module.Error = E.validate();
   if (!Module.ok())
     return Module;

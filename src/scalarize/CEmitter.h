@@ -104,10 +104,10 @@ struct CModule {
   bool ok() const { return Error.empty(); }
 };
 
-/// Emits the kernel function \p FnName implementing \p LP, with every
-/// bound, stride and constant printed as a literal (the readable form;
-/// the JIT module and the harness leave them open, see CModule). Aborts
-/// on unsupported constructs; prefer emitCChecked where recovery matters.
+/// Emits the kernel function \p FnName implementing \p LP: the kernel
+/// of emitCModule, without the entry wrapper, followed by a comment
+/// declaring this program's dims and consts. Aborts on unsupported
+/// constructs; prefer emitCChecked where recovery matters.
 std::string emitC(const lir::LoopProgram &LP, const std::string &FnName);
 
 /// Emits the kernel of emitCModule plus a self-contained main() harness

@@ -54,7 +54,7 @@ public:
   std::vector<const ArraySymbol *> allocatedArrays() {
     std::vector<const ArraySymbol *> Result;
     for (const ArraySymbol *A : P.arrays())
-      if (!LP.isContracted(A) && FI.boundsFor(A))
+      if (LP.storageRegion(A, FI))
         Result.push_back(A);
     return Result;
   }
@@ -69,11 +69,7 @@ public:
 
   /// Declared bounds of an array: rolling-buffer bounds for partially
   /// contracted arrays, footprint bounds otherwise.
-  Region boundsOf(const ArraySymbol *A) {
-    if (const xform::PartialPlan *Plan = LP.partialPlanFor(A))
-      return Plan->bufferRegion();
-    return *FI.boundsFor(A);
-  }
+  Region boundsOf(const ArraySymbol *A) { return *LP.storageRegion(A, FI); }
 
   /// Fixed-form line emission with continuation cards at column 72.
   void emitLine(const std::string &Body, unsigned Indent = 0) {

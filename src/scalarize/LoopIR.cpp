@@ -2,6 +2,7 @@
 
 #include "scalarize/LoopIR.h"
 
+#include "analysis/Footprint.h"
 #include "support/StringUtil.h"
 
 #include <atomic>
@@ -37,6 +38,17 @@ std::vector<const ArraySymbol *> LoopProgram::allocatedArrays() const {
     if (!isContracted(A))
       Result.push_back(A);
   return Result;
+}
+
+std::optional<Region>
+LoopProgram::storageRegion(const ArraySymbol *A,
+                           const analysis::FootprintInfo &FI) const {
+  const Region *Bounds = FI.boundsFor(A);
+  if (isContracted(A) || !Bounds)
+    return std::nullopt;
+  if (const xform::PartialPlan *Plan = partialPlanFor(A))
+    return Plan->bufferRegion();
+  return *Bounds;
 }
 
 /// Renders an expression with array references spelled as C subscripts

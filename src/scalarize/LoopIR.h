@@ -23,10 +23,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <vector>
 
 namespace alf {
+namespace analysis {
+class FootprintInfo;
+} // namespace analysis
+
 namespace lir {
 
 /// The left-hand side of a scalarized statement: either an array element
@@ -244,6 +249,14 @@ public:
 
   /// Arrays that still require storage (not contracted).
   std::vector<const ir::ArraySymbol *> allocatedArrays() const;
+
+  /// The region \p A is stored over: its rolling buffer when partially
+  /// contracted, else its footprint bounds in \p FI; none when A was
+  /// contracted or is never referenced. exec::Storage, the C and Fortran
+  /// emitters and exec::storageBytes all lay arrays out by this rule.
+  std::optional<ir::Region>
+  storageRegion(const ir::ArraySymbol *A,
+                const analysis::FootprintInfo &FI) const;
 
   /// Writes C-like loop nests.
   void print(std::ostream &OS) const;

@@ -118,7 +118,8 @@ TEST(CEmitterTest, EmitsCompilableSource) {
   ASDG G = ASDG::build(P);
   auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
   std::string Src = scalarize::emitC(LP, "kernel");
-  EXPECT_NE(Src.find("void kernel(double *A_A, double *A_B)"),
+  EXPECT_NE(Src.find("void kernel(double *A_A, double *A_B, const long "
+                     "*alf_dims, const double *alf_consts)"),
             std::string::npos);
   EXPECT_NE(Src.find("A_B["), std::string::npos);
   EXPECT_NE(Src.find("#include <math.h>"), std::string::npos);

@@ -119,11 +119,8 @@ array T : R temp;
   ASDG G = ASDG::build(*Result.Prog);
   auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
   EXPECT_EQ(scalarize::emitC(LP, "kernel"),
-            R"(/* generated by ALF from program 'main' */
+            R"(/* generated by ALF */
 #include <math.h>
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
 
 static double alf_sqrt(double v) { return sqrt(fabs(v)); }
 static double alf_exp(double v) { return exp(fmin(v, 40.0)); }
@@ -131,16 +128,34 @@ static double alf_log(double v) { return log(fabs(v) + 1e-12); }
 static double alf_recip(double v) { return 1.0 / (v + (v >= 0 ? 1e-12 : -1e-12)); }
 static double alf_div(double l, double r) { return l / (r + (r >= 0 ? 1e-12 : -1e-12)); }
 
-void kernel(double *A_A, double *A_B) {
+void kernel(double *A_A, double *A_B, const long *alf_dims, const double *alf_consts) {
   long i1, i2;
   double s_T = 0.0;
-  for (i1 = 1; i1 <= 2; ++i1)
-    for (i2 = 1; i2 <= 2; ++i2)
-      {
-        s_T = (A_A[(i1+0 - (1))*2 + (i2+0 - (1))] * 2);
-        A_B[(i1+0 - (1))*2 + (i2+0 - (1))] = (s_T + 1);
-      }
+  {
+  const long d0 = alf_dims[0];
+  const long d1 = alf_dims[1];
+  const long d2 = alf_dims[2];
+  const long d3 = alf_dims[3];
+  const long d4 = alf_dims[4];
+  const long d5 = alf_dims[5];
+  const double c0 = alf_consts[0];
+  const double c1 = alf_consts[1];
+  for (i1 = d2; i1 <= d3; ++i1)
+    {
+      const long r0 = (i1+0)*d0 - d1;
+      for (i2 = d4; i2 <= d5; ++i2)
+        {
+          s_T = (A_A[r0 + (i2+0)] * c0);
+          A_B[r0 + (i2+0)] = (s_T + c1);
+        }
+    }
+  }
 }
+
+/* This program runs as kernel(<arrays>, <scalars>, alf_dims, alf_consts) with
+  static const long alf_dims[] = {2, 3, 1, 2, 1, 2, 0};
+  static const double alf_consts[] = {2, 1, 0};
+*/
 )");
 }
 

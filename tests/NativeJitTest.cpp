@@ -795,8 +795,11 @@ void expectCompiles(JitEngine &Engine, const lir::LoopProgram &LP,
   EXPECT_TRUE(resultsMatch(run(LP, Seed), Got, 0.0, &Why)) << Why;
 }
 
-// Extents are multiples of the vector width throughout: whether a
-// vectorized row is a whole number of vectors is part of the text.
+// Rows of 8 and 20 are whole numbers of 4-lane vectors; rows of 13, 7
+// and 10 leave every remainder length. The vector tier's text records
+// whether a row is a whole number of vectors, so there the first row with
+// a remainder compiles the structure's one other kernel; every later
+// extent, on both tiers, runs on a loaded kernel.
 TEST(NativeJitTest, NewExtentSharesKernel) {
   if (!HaveCompiler)
     GTEST_SKIP() << "no usable system C compiler";
@@ -807,9 +810,13 @@ TEST(NativeJitTest, NewExtentSharesKernel) {
       JitEngine Engine(tierOptions(Cache, Vectorize));
       ShapedProgram First = makeShaped(S, 8);
       expectCompiles(Engine, *First.LP, 51);
-      for (int64_t N : {12, 20, 64}) {
+      for (int64_t N : {13, 20, 7, 10, 64}) {
+        SCOPED_TRACE("N = " + std::to_string(N));
         ShapedProgram Next = makeShaped(S, N);
-        expectRunsWithoutCompiling(Engine, *Next.LP, 51);
+        if (Vectorize && N == 13)
+          expectCompiles(Engine, *Next.LP, 51);
+        else
+          expectRunsWithoutCompiling(Engine, *Next.LP, 51);
       }
     }
 }
@@ -871,6 +878,7 @@ TEST(NativeJitTest, ConcurrentNewExtentsCompileOnce) {
     std::vector<ShapedProgram> Programs;
     std::vector<RunResult> Refs;
     for (unsigned T = 0; T < Threads; ++T) {
+      // Whole vectors throughout: one kernel text on both tiers.
       Programs.push_back(makeShaped(Shape::Stencil, 8 + 4 * T));
       Refs.push_back(run(*Programs.back().LP, 57));
     }

@@ -112,7 +112,9 @@ TEST(Rank3Test, BackendsEmitTripleNests) {
   auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
   std::string C = scalarize::emitC(LP, "kernel3d");
   EXPECT_NE(C.find("for (i3 ="), std::string::npos);
-  EXPECT_NE(C.find("[(i1+0 - (0))*36"), std::string::npos) << C;
+  EXPECT_NE(C.find("(i1+0)*d0 + (i2+0)*d1 - d2"), std::string::npos) << C;
+  // U's layout class: strides 36 and 6 over [0..5]^3, origin 0.
+  EXPECT_NE(C.find("alf_dims[] = {36, 6, 0, "), std::string::npos) << C;
   std::string F = scalarize::emitFortran(LP, "K3D");
   EXPECT_NE(F.find("DO I3 ="), std::string::npos);
   EXPECT_NE(F.find("U(I1,I2,I3"), std::string::npos) << F;
