@@ -842,7 +842,8 @@ public:
     // The remainder repeats the whole body in scalar form, and with
     // parametric bounds the compiler can no longer delete it when it never
     // runs: emitting it for every nest made the 14 steady-run modules
-    // compile 16% slower (SP's vector tier 1.6x) with no runtime change.
+    // compile 19-35% slower (SP's vector tier 1.6-2.1x) with no runtime
+    // change (see DESIGN.md section 9).
     // The text records which case applies, so a vector-tier structure
     // compiles at most one kernel per case.
     bool WholeVectors = Nest.R->extent(Dim) % W == 0;
