@@ -29,8 +29,6 @@ ASDG ASDG::build(const ir::Program &Prog) {
   ASDG G;
   G.P = &Prog;
   unsigned N = Prog.numStmts();
-  G.OutEdgeIds.resize(N);
-  G.InEdgeIds.resize(N);
 
   // Pre-collect the accesses of every statement.
   std::vector<std::vector<Access>> Accesses(N);
@@ -65,110 +63,94 @@ ASDG ASDG::build(const ir::Program &Prog) {
       }
       if (Labels.empty())
         continue;
-      unsigned EdgeId = static_cast<unsigned>(G.Edges.size());
       G.Edges.push_back(DepEdge{Src, Tgt, std::move(Labels)});
-      G.OutEdgeIds[Src].push_back(EdgeId);
-      G.InEdgeIds[Tgt].push_back(EdgeId);
     }
   }
+  G.indexEdges();
 
   // Reference index for statementsReferencing().
-  G.RefIndex.resize(Prog.numSymbols());
+  G.RefIndex = PackedRows<unsigned>::build(Prog.numSymbols(), [&](auto Emit) {
+    for (unsigned I = 0; I < N; ++I) {
+      std::set<unsigned> Seen;
+      for (const Access &A : Accesses[I])
+        if (Seen.insert(A.Sym->getId()).second)
+          Emit(A.Sym->getId(), I);
+    }
+  });
+
+  // Reference weights: every array reference of a statement counts its
+  // iteration region once. Communication primitives contribute nothing.
+  G.Weights.assign(Prog.numSymbols(), 0.0);
+  auto Count = [&G](const Symbol *Var, double RegionSize) {
+    G.Weights[Var->getId()] += RegionSize;
+  };
   for (unsigned I = 0; I < N; ++I) {
-    std::set<unsigned> Seen;
-    for (const Access &A : Accesses[I])
-      if (Seen.insert(A.Sym->getId()).second)
-        G.RefIndex[A.Sym->getId()].push_back(I);
+    const Stmt *S = Prog.getStmt(I);
+    if (const auto *NS = dyn_cast<NormalizedStmt>(S)) {
+      double RegionSize = static_cast<double>(NS->getRegion()->size());
+      Count(NS->getLHS(), RegionSize);
+      for (const ArrayRefExpr *Ref : NS->rhsArrayRefs())
+        Count(Ref->getSymbol(), RegionSize);
+    } else if (const auto *RS = dyn_cast<ReduceStmt>(S)) {
+      double RegionSize = static_cast<double>(RS->getRegion()->size());
+      for (const ArrayRefExpr *Ref : RS->bodyArrayRefs())
+        Count(Ref->getSymbol(), RegionSize);
+    } else if (const auto *OS = dyn_cast<OpaqueStmt>(S)) {
+      double RegionSize =
+          OS->getRegion() ? static_cast<double>(OS->getRegion()->size()) : 1.0;
+      for (const ArraySymbol *A : OS->arrayReads())
+        Count(A, RegionSize);
+      for (const ArraySymbol *A : OS->arrayWrites())
+        Count(A, RegionSize);
+    }
   }
+  for (const ArraySymbol *A : Prog.arrays())
+    if (G.Weights[A->getId()] > 0.0)
+      G.ByWeight.push_back(A);
+  std::stable_sort(G.ByWeight.begin(), G.ByWeight.end(),
+                   [&G](const ArraySymbol *L, const ArraySymbol *R) {
+                     double WL = G.Weights[L->getId()];
+                     double WR = G.Weights[R->getId()];
+                     if (WL != WR)
+                       return WL > WR;
+                     return L->getId() < R->getId();
+                   });
   return G;
+}
+
+void ASDG::indexEdges() {
+  auto NumEdges = static_cast<unsigned>(Edges.size());
+  OutEdgeIds = PackedRows<unsigned>::build(numNodes(), [&](auto Emit) {
+    for (unsigned EdgeId = 0; EdgeId < NumEdges; ++EdgeId)
+      Emit(Edges[EdgeId].Src, EdgeId);
+  });
+  InEdgeIds = PackedRows<unsigned>::build(numNodes(), [&](auto Emit) {
+    for (unsigned EdgeId = 0; EdgeId < NumEdges; ++EdgeId)
+      Emit(Edges[EdgeId].Tgt, EdgeId);
+  });
+  DepIndex = PackedRows<LabelRef>::build(P->numSymbols(), [&](auto Emit) {
+    for (unsigned EdgeId = 0; EdgeId < NumEdges; ++EdgeId) {
+      const std::vector<DepLabel> &Labels = Edges[EdgeId].Labels;
+      for (unsigned I = 0; I < Labels.size(); ++I)
+        Emit(Labels[I].Var->getId(), LabelRef{EdgeId, I});
+    }
+  });
 }
 
 void ASDG::dropEdgeForTest(unsigned EdgeId) {
   if (EdgeId >= Edges.size())
     return;
   Edges.erase(Edges.begin() + EdgeId);
-  for (auto *Index : {&OutEdgeIds, &InEdgeIds})
-    for (std::vector<unsigned> &Ids : *Index) {
-      std::vector<unsigned> Kept;
-      for (unsigned Id : Ids) {
-        if (Id == EdgeId)
-          continue;
-        Kept.push_back(Id > EdgeId ? Id - 1 : Id);
-      }
-      Ids = std::move(Kept);
-    }
+  indexEdges();
 }
 
 void ASDG::injectEdgeForTest(DepEdge E) {
-  unsigned EdgeId = static_cast<unsigned>(Edges.size());
-  if (E.Src < OutEdgeIds.size())
-    OutEdgeIds[E.Src].push_back(EdgeId);
-  if (E.Tgt < InEdgeIds.size())
-    InEdgeIds[E.Tgt].push_back(EdgeId);
   Edges.push_back(std::move(E));
-}
-
-const std::vector<unsigned> &
-ASDG::statementsReferencing(const ir::Symbol *Var) const {
-  static const std::vector<unsigned> Empty;
-  if (Var->getId() >= RefIndex.size())
-    return Empty;
-  return RefIndex[Var->getId()];
+  indexEdges();
 }
 
 double ASDG::referenceWeight(const ir::Symbol *Var) const {
-  double Weight = 0.0;
-  for (unsigned I = 0; I < numNodes(); ++I) {
-    const Stmt *S = P->getStmt(I);
-    if (const auto *NS = dyn_cast<NormalizedStmt>(S)) {
-      double RegionSize = static_cast<double>(NS->getRegion()->size());
-      if (NS->getLHS() == Var)
-        Weight += RegionSize;
-      for (const ArrayRefExpr *Ref : NS->rhsArrayRefs())
-        if (Ref->getSymbol() == Var)
-          Weight += RegionSize;
-      continue;
-    }
-    if (const auto *RS = dyn_cast<ReduceStmt>(S)) {
-      double RegionSize = static_cast<double>(RS->getRegion()->size());
-      for (const ArrayRefExpr *Ref : RS->bodyArrayRefs())
-        if (Ref->getSymbol() == Var)
-          Weight += RegionSize;
-      continue;
-    }
-    if (const auto *OS = dyn_cast<OpaqueStmt>(S)) {
-      double RegionSize =
-          OS->getRegion() ? static_cast<double>(OS->getRegion()->size()) : 1.0;
-      for (const ArraySymbol *A : OS->arrayReads())
-        if (A == Var)
-          Weight += RegionSize;
-      for (const ArraySymbol *A : OS->arrayWrites())
-        if (A == Var)
-          Weight += RegionSize;
-    }
-    // Communication primitives contribute no reference weight.
-  }
-  return Weight;
-}
-
-std::vector<const ir::ArraySymbol *> ASDG::arraysByDecreasingWeight() const {
-  std::vector<std::pair<double, const ArraySymbol *>> Weighted;
-  for (const ArraySymbol *A : P->arrays()) {
-    double W = referenceWeight(A);
-    if (W > 0.0)
-      Weighted.push_back({W, A});
-  }
-  std::stable_sort(Weighted.begin(), Weighted.end(),
-                   [](const auto &L, const auto &R) {
-                     if (L.first != R.first)
-                       return L.first > R.first;
-                     return L.second->getId() < R.second->getId();
-                   });
-  std::vector<const ArraySymbol *> Result;
-  Result.reserve(Weighted.size());
-  for (const auto &[W, A] : Weighted)
-    Result.push_back(A);
-  return Result;
+  return Var->getId() < Weights.size() ? Weights[Var->getId()] : 0.0;
 }
 
 void ASDG::print(std::ostream &OS) const {

@@ -25,6 +25,7 @@
 
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,15 +60,67 @@ struct DepEdge {
   std::vector<DepLabel> Labels;
 };
 
+/// One dependence label of an ASDG: label \p Label of edge \p Edge.
+struct LabelRef {
+  unsigned Edge = 0;
+  unsigned Label = 0;
+};
+
+/// Rows of values packed into one array: row R is
+/// Values[Begin[R] .. Begin[R + 1]). Rows past the end are empty.
+template <typename T> class PackedRows {
+  std::vector<unsigned> Begin;
+  std::vector<T> Values;
+
+public:
+  /// Rows 0 .. NumRows - 1 from the (row, value) pairs \p Pairs passes to
+  /// the callback it is given, each row keeping its values in that order.
+  /// Pairs is called twice (count, then fill) and must emit the same
+  /// pairs both times; pairs naming a row past the end are dropped.
+  template <typename PairsFn>
+  static PackedRows build(unsigned NumRows, const PairsFn &Pairs) {
+    PackedRows Rows;
+    Rows.Begin.assign(NumRows + 1, 0);
+    Pairs([&Rows, NumRows](unsigned Row, const T &) {
+      if (Row < NumRows)
+        ++Rows.Begin[Row + 1];
+    });
+    for (unsigned Row = 0; Row < NumRows; ++Row)
+      Rows.Begin[Row + 1] += Rows.Begin[Row];
+    Rows.Values.resize(Rows.Begin[NumRows]);
+    std::vector<unsigned> Next(Rows.Begin.begin(), Rows.Begin.end() - 1);
+    Pairs([&Rows, &Next, NumRows](unsigned Row, const T &Value) {
+      if (Row < NumRows)
+        Rows.Values[Next[Row]++] = Value;
+    });
+    return Rows;
+  }
+
+  std::span<const T> operator[](unsigned Row) const {
+    if (Row + 1 >= Begin.size())
+      return {};
+    return std::span<const T>(Values).subspan(Begin[Row],
+                                              Begin[Row + 1] - Begin[Row]);
+  }
+};
+
 /// The array statement dependence graph over one Program.
 class ASDG {
   const ir::Program *P = nullptr;
   std::vector<DepEdge> Edges;
-  std::vector<std::vector<unsigned>> OutEdgeIds;
-  std::vector<std::vector<unsigned>> InEdgeIds;
-  // Cached reference index: statements referencing each symbol
-  // (ascending), by symbol id. Built once during build().
-  std::vector<std::vector<unsigned>> RefIndex;
+  // Edge ids by source and by target statement, and label ids by
+  // variable, all in ascending edge order; rebuilt from Edges whenever it
+  // changes.
+  PackedRows<unsigned> OutEdgeIds, InEdgeIds;
+  PackedRows<LabelRef> DepIndex;
+  // Per-symbol facts by symbol id, built once during build(): the
+  // statements referencing each symbol (ascending) and its reference
+  // weight.
+  PackedRows<unsigned> RefIndex;
+  std::vector<double> Weights;
+  std::vector<const ir::ArraySymbol *> ByWeight;
+
+  void indexEdges();
 
 public:
   /// Builds the ASDG of \p Prog. The program must be well formed (run the
@@ -83,29 +136,44 @@ public:
   const std::vector<DepEdge> &edges() const { return Edges; }
 
   /// Indices into edges() leaving / entering statement \p Node.
-  const std::vector<unsigned> &outEdges(unsigned Node) const {
+  std::span<const unsigned> outEdges(unsigned Node) const {
     return OutEdgeIds[Node];
   }
-  const std::vector<unsigned> &inEdges(unsigned Node) const {
+  std::span<const unsigned> inEdges(unsigned Node) const {
     return InEdgeIds[Node];
   }
 
   /// Ids of statements containing any reference to \p Var (reads, writes,
   /// communication and opaque accesses included). O(1): served from an
   /// index built during construction.
-  const std::vector<unsigned> &statementsReferencing(const ir::Symbol *Var) const;
+  std::span<const unsigned> statementsReferencing(const ir::Symbol *Var) const {
+    return RefIndex[Var->getId()];
+  }
+
+  /// The labels whose variable is \p Var (the dependences due to Var),
+  /// ordered by edge id, then by position in the edge's label list.
+  std::span<const LabelRef> dependencesOn(const ir::Symbol *Var) const {
+    return DepIndex[Var->getId()];
+  }
+
+  const DepLabel &getLabel(LabelRef L) const {
+    return Edges[L.Edge].Labels[L.Label];
+  }
 
   /// The paper's reference weight w(x, G): the number of array element
   /// references eliminated if \p Var were contracted, computed as the sum
   /// over statements of (references to Var in the statement) x (region
   /// size). Communication primitives contribute nothing (they disappear
-  /// with the array).
+  /// with the array). O(1): computed during construction.
   double referenceWeight(const ir::Symbol *Var) const;
 
   /// Array variables appearing in the graph, sorted by decreasing
   /// referenceWeight (ties broken by symbol id for determinism). This is
   /// the consideration order of FUSION-FOR-CONTRACTION (Figure 3, line 3).
-  std::vector<const ir::ArraySymbol *> arraysByDecreasingWeight() const;
+  /// Computed during construction.
+  const std::vector<const ir::ArraySymbol *> &arraysByDecreasingWeight() const {
+    return ByWeight;
+  }
 
   /// Ids of the edges forming the transitive reduction of the graph:
   /// an edge is omitted when a longer dependence path between the same

@@ -115,15 +115,15 @@ public:
       return true;
     // The vendor cannot emit a fused nest with a loop-carried
     // anti-dependence across source statements.
-    std::vector<unsigned> Stmts = P.memberStmts(C);
-    std::set<unsigned> InCluster(Stmts.begin(), Stmts.end());
-    for (const DepEdge &E : G.edges()) {
-      if (!InCluster.count(E.Src) || !InCluster.count(E.Tgt))
-        continue;
-      for (const DepLabel &L : E.Labels)
-        if (L.Type == DepType::Anti && (!L.UDV || !L.UDV->isZero()))
-          return false;
-    }
+    for (unsigned StmtId : P.memberStmts(C))
+      for (unsigned EdgeId : G.outEdges(StmtId)) {
+        const DepEdge &E = G.getEdge(EdgeId);
+        if (!C.count(P.clusterOf(E.Tgt)))
+          continue;
+        for (const DepLabel &L : E.Labels)
+          if (L.Type == DepType::Anti && (!L.UDV || !L.UDV->isZero()))
+            return false;
+      }
     return true;
   }
 

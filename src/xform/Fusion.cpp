@@ -48,32 +48,45 @@ unsigned xform::fuseGreedily(FusionPartition &P,
                              const std::vector<const ArraySymbol *> &Order,
                              const MergeAccept &Accept,
                              const SequentialDims &Seq) {
+  const ASDG &G = P.graph();
   unsigned Merges = 0;
   for (const ArraySymbol *Var : Order) {
-    // Line 5: clusters containing a reference to Var.
+    // Line 5: clusters containing a reference to Var. P is acyclic, so a
+    // single cluster lies on no cycle and GROW would add nothing to it.
     std::set<unsigned> C = P.clustersReferencing(Var);
-    if (C.empty())
-      continue;
-
-    // Line 6: close under GROW so the merge cannot create cycles.
-    std::set<unsigned> Grown = P.grow(C);
-    C.insert(Grown.begin(), Grown.end());
     if (C.size() < 2)
       continue; // nothing to fuse
     ++NumCandidatesConsidered;
 
-    // Line 7: the pass's own test, then FUSION-PARTITION?(c, G). C is
-    // GROW-closed and P acyclic, so condition (iii) holds by construction
-    // and only the statement-set conditions remain to check.
-    if (!Accept(P, C, Var)) {
-      ++NumRejectedContractible;
+    // Line 7's tests reject every superset of a set they reject (the
+    // pass's own test by MergeAccept's contract, FUSION-PARTITION?'s
+    // statement-set conditions by monotonicity), so trying them on C
+    // before line 6 spares the GROW for most rejected candidates and
+    // decides nothing differently.
+    auto Passes = [&](const std::set<unsigned> &Set) {
+      if (!Accept(P, Set, Var)) {
+        ++NumRejectedContractible;
+        return false;
+      }
+      if (!isFusibleStmtSet(G, P.memberStmts(Set), Seq)) {
+        ++NumRejectedLegality;
+        return false;
+      }
+      return true;
+    };
+    if (!Passes(C))
       continue;
+
+    // Line 6: close under GROW so the merge cannot create cycles; the
+    // grown set must pass line 7 again. C is then GROW-closed and P
+    // acyclic, so condition (iii) holds by construction.
+    std::set<unsigned> Grown = P.grow(C);
+    if (!Grown.empty()) {
+      C.insert(Grown.begin(), Grown.end());
+      if (!Passes(C))
+        continue;
     }
     assert(P.grow(C).empty() && "GROW closure must leave no cycle");
-    if (!isFusibleStmtSet(P.graph(), P.memberStmts(C), Seq)) {
-      ++NumRejectedLegality;
-      continue;
-    }
 
     // Lines 8-10: merge into the smallest cluster id.
     P.merge(C);

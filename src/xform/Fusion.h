@@ -50,7 +50,10 @@ std::vector<const ir::ArraySymbol *> weightOrder(const analysis::ASDG &G,
 /// A pass-specific test of Figure 3 line 7 on the candidate merge of the
 /// clusters \p C of \p P, made for array \p Var: CONTRACTIBLE? for fusion
 /// for contraction, nothing for fusion for locality, a policy for the
-/// vendor models.
+/// vendor models. C always holds every cluster referencing Var, and a
+/// test that rejects C must reject every superset of C too (CONTRACTIBLE?
+/// does not depend on C then; the vendor policies only add restrictions
+/// as C grows).
 using MergeAccept =
     std::function<bool(const FusionPartition &P, const std::set<unsigned> &C,
                        const ir::ArraySymbol *Var)>;
@@ -60,11 +63,13 @@ using MergeAccept =
 MergeAccept contractibleUnder(SequentialDims Seq = SequentialDims::none());
 
 /// The Figure 3 greedy loop (lines 4-10) over the arrays of \p Order, in
-/// that order, refining \p P. For each array, the clusters referencing it
-/// (line 5) are closed under GROW (line 6); when that yields at least two
-/// clusters, \p Accept holds and the merge passes FUSION-PARTITION? with
-/// flow distances judged under \p Seq (line 7), they merge into the
-/// smallest cluster id (lines 8-9). Returns the number of merges.
+/// that order, refining the acyclic partition \p P. For each array, the
+/// clusters referencing it (line 5) are closed under GROW (line 6); when
+/// that yields at least two clusters, \p Accept holds and the merge
+/// passes FUSION-PARTITION? with flow distances judged under \p Seq (line
+/// 7), they merge into the smallest cluster id (lines 8-9). Line 7 is
+/// tried on the ungrown set first, which rejects the same candidates
+/// earlier. Returns the number of merges.
 unsigned fuseGreedily(FusionPartition &P,
                       const std::vector<const ir::ArraySymbol *> &Order,
                       const MergeAccept &Accept,

@@ -21,6 +21,7 @@
 #include "xform/LoopStructure.h"
 
 #include <initializer_list>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <set>
@@ -33,9 +34,39 @@ namespace xform {
 /// Cluster ids are statement ids of representative members; after merges,
 /// a cluster's id is the smallest statement id it contains (Figure 3 line
 /// 8 assigns the union into the Pk with the smallest k).
+///
+/// Besides the statement-to-cluster map, the partition keeps, for every
+/// active cluster, its member list and its distinct successor and
+/// predecessor clusters in the quotient graph, plus a topological order
+/// of the quotient while it is acyclic. merge() updates all of them in
+/// time proportional to the merged clusters' members and neighbours, so
+/// no query below rescans the ASDG's edges.
 class FusionPartition {
+  /// What the partition keeps for one active cluster.
+  struct Cluster {
+    std::vector<unsigned> Members; // ascending statement ids
+    std::vector<unsigned> Succ;    // distinct quotient successors, ascending
+    std::vector<unsigned> Pred;    // distinct quotient predecessors, ascending
+    unsigned Pos = 0;              // index in Topo
+  };
+
   const analysis::ASDG *G = nullptr;
   std::vector<unsigned> ClusterOf; // statement id -> cluster id
+  // By cluster id; null for ids that name no active cluster, so a merged
+  // partition keeps records for its surviving clusters only.
+  std::vector<std::unique_ptr<Cluster>> ById;
+  // Active clusters in a topological order of the quotient graph;
+  // meaningful only while Acyclic.
+  std::vector<unsigned> Topo;
+  bool Acyclic = true;
+  unsigned NumClusters = 0;
+
+  /// Clusters with a quotient path into \p C, C included (as flags by
+  /// cluster id).
+  std::vector<unsigned char> reaching(const std::set<unsigned> &C) const;
+  /// GROW(C) given reaching(C).
+  std::set<unsigned> growGiven(const std::set<unsigned> &C,
+                               const std::vector<unsigned char> &Reaching) const;
 
 public:
   /// The trivial partition: one statement per cluster (Figure 3 line 1).
@@ -45,7 +76,8 @@ public:
   /// entry must already satisfy the representation invariant merge()
   /// maintains: a cluster's id is its smallest member's statement id.
   /// The branch-and-bound partitioner (IlpStrategy) materializes its
-  /// search states through this.
+  /// search states through this. O(n + e log e) for n statements and e
+  /// edges.
   static FusionPartition fromAssignment(const analysis::ASDG &Graph,
                                         std::vector<unsigned> Assignment);
 
@@ -60,12 +92,11 @@ public:
   std::vector<unsigned> clusters() const;
 
   /// Number of clusters (the paper's l).
-  unsigned numClusters() const {
-    return static_cast<unsigned>(clusters().size());
-  }
+  unsigned numClusters() const { return NumClusters; }
 
-  /// Statement ids in cluster \p Cluster, ascending (program order).
-  std::vector<unsigned> members(unsigned Cluster) const;
+  /// Statement ids in cluster \p Cluster, ascending (program order);
+  /// empty when no active cluster has that id.
+  const std::vector<unsigned> &members(unsigned Cluster) const;
 
   /// Statement ids in any cluster of \p C, ascending.
   std::vector<unsigned> memberStmts(const std::set<unsigned> &C) const;
@@ -79,7 +110,7 @@ public:
   std::set<unsigned> clustersReferencing(const ir::Symbol *Var) const;
 
   /// Distinct inter-cluster dependence edges (SrcCluster, TgtCluster),
-  /// SrcCluster != TgtCluster.
+  /// SrcCluster != TgtCluster, ascending.
   std::vector<std::pair<unsigned, unsigned>> clusterEdges() const;
 
   /// GROW (Figure 3): clusters not in \p C that are reachable from a

@@ -199,7 +199,7 @@ private:
     for (const ArraySymbol *A : G.arraysByDecreasingWeight()) {
       if (!Opts.Contract(A))
         continue;
-      const std::vector<unsigned> &Refs = G.statementsReferencing(A);
+      std::span<const unsigned> Refs = G.statementsReferencing(A);
       std::set<unsigned> C(Refs.begin(), Refs.end());
       if (!isContractible(Trivial, C, A))
         continue;
@@ -209,7 +209,8 @@ private:
           Feasible = isFusibleStmtSet(G, {Refs[I], Refs[J]});
       if (!Feasible)
         continue;
-      Candidates.push_back({A, G.referenceWeight(A) * ElemBytes, Refs});
+      Candidates.push_back({A, G.referenceWeight(A) * ElemBytes,
+                            std::vector<unsigned>(Refs.begin(), Refs.end())});
     }
   }
 

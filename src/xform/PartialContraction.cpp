@@ -67,7 +67,7 @@ std::vector<PartialPlan> xform::planPartialContraction(
 
     // The cluster holding every reference to Var, its loop structure, and
     // the per-dimension maximum dependence distance of Var.
-    std::vector<unsigned> Refs = G.statementsReferencing(Var);
+    std::span<const unsigned> Refs = G.statementsReferencing(Var);
     if (Refs.empty())
       continue;
     unsigned Cluster = P.clusterOf(Refs.front());
@@ -80,14 +80,14 @@ std::vector<PartialPlan> xform::planPartialContraction(
       continue;
 
     std::vector<int64_t> MaxDist(Rank, 0);
-    for (const analysis::DepEdge &E : G.edges())
-      for (const analysis::DepLabel &L : E.Labels) {
-        if (L.Var != Var || !L.UDV)
-          continue;
-        for (unsigned D = 0; D < Rank; ++D)
-          MaxDist[D] = std::max<int64_t>(
-              MaxDist[D], (*L.UDV)[D] < 0 ? -(*L.UDV)[D] : (*L.UDV)[D]);
-      }
+    for (analysis::LabelRef Ref : G.dependencesOn(Var)) {
+      const analysis::DepLabel &L = G.getLabel(Ref);
+      if (!L.UDV)
+        continue;
+      for (unsigned D = 0; D < Rank; ++D)
+        MaxDist[D] = std::max<int64_t>(
+            MaxDist[D], (*L.UDV)[D] < 0 ? -(*L.UDV)[D] : (*L.UDV)[D]);
+    }
 
     // The outermost loop carrying a dependence of Var.
     int CarryLoop = -1;

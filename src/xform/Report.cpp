@@ -53,7 +53,7 @@ ContractionOutcome xform::classifyContraction(const StrategyResult &SR,
     return ContractionOutcome::LiveOut;
   }
 
-  std::vector<unsigned> Refs = G.statementsReferencing(Var);
+  std::span<const unsigned> Refs = G.statementsReferencing(Var);
 
   // Read-only arrays first: there is no value to contract.
   bool EverWritten = false;
@@ -97,18 +97,16 @@ ContractionOutcome xform::classifyContraction(const StrategyResult &SR,
   }
 
   // A dependence with non-null distance?
-  for (const DepEdge &E : G.edges())
-    for (const DepLabel &L : E.Labels) {
-      if (L.Var != Var)
-        continue;
-      if (!L.UDV || !L.UDV->isZero()) {
-        Explain(formatString(
-            "%s dependence S%u -> S%u carries distance %s",
-            getDepTypeName(L.Type), E.Src, E.Tgt,
-            L.UDV ? L.UDV->str().c_str() : "(unknown)"));
-        return ContractionOutcome::CarriedDistance;
-      }
+  for (LabelRef Ref : G.dependencesOn(Var)) {
+    const DepEdge &E = G.getEdge(Ref.Edge);
+    const DepLabel &L = G.getLabel(Ref);
+    if (!L.UDV || !L.UDV->isZero()) {
+      Explain(formatString("%s dependence S%u -> S%u carries distance %s",
+                           getDepTypeName(L.Type), E.Src, E.Tgt,
+                           L.UDV ? L.UDV->str().c_str() : "(unknown)"));
+      return ContractionOutcome::CarriedDistance;
     }
+  }
 
   // Null distances everywhere: the references must span clusters.
   std::set<unsigned> Clusters;

@@ -154,9 +154,11 @@ TEST(ASDGTest, StatementsReferencing) {
   auto P = tp::makeFigure2();
   ASDG G = ASDG::build(*P);
   auto Refs = G.statementsReferencing(P->findSymbol("A"));
-  EXPECT_EQ(Refs, (std::vector<unsigned>{0, 1, 2}));
+  EXPECT_EQ(std::vector<unsigned>(Refs.begin(), Refs.end()),
+            (std::vector<unsigned>{0, 1, 2}));
   auto RefsC = G.statementsReferencing(P->findSymbol("C"));
-  EXPECT_EQ(RefsC, (std::vector<unsigned>{1}));
+  EXPECT_EQ(std::vector<unsigned>(RefsC.begin(), RefsC.end()),
+            (std::vector<unsigned>{1}));
 }
 
 TEST(ASDGTest, TransitiveReduction) {

@@ -530,6 +530,15 @@ std::vector<Case> buildSuite(bool Reduced) {
   // The third row of the JIT compile-vs-dispatch split (jit.*.cold and
   // jit.*.warm above; appended last per the pinned-suite contract).
   Suite.push_back(jitNewExtentCase(Tomcatv, N));
+
+  // The strategy layer on the two largest ASDGs (appended last per the
+  // pinned-suite contract): SP (253 statements, 5,132 edges) and
+  // Floyd–Warshall at the compile-mix size (N=8, 256 statements), where
+  // the greedy loop's per-candidate cost dominates, unlike Tomcatv's
+  // strategy.* rows above.
+  Suite.push_back(strategyCase(SP, N, Strategy::C2F3, "sp.c2+f3"));
+  Suite.push_back(strategyCase(zooBenchmarks()[0], 8, Strategy::C2F3,
+                               "floydwarshall.c2+f3"));
   return Suite;
 }
 
